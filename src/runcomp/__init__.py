@@ -39,7 +39,6 @@ from .solver import (
     AvoidanceSystem,
     avoidance_series,
     build_system,
-    determinant_solve,
     easy_case_series,
 )
 from .words import (
@@ -82,7 +81,6 @@ __all__ = [
     "correlation_polynomial",
     "correlation_vector",
     "count_by_parts",
-    "determinant_solve",
     "easy_case_series",
     "enumerate_compositions",
     "is_factor",

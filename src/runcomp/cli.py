@@ -14,6 +14,7 @@ from typing import Sequence
 
 import click
 
+from . import __version__
 from .errors import PivotError, RuncompError
 from .oracle import CompositionFilter, oracle_count
 from .runs import bounded_run_count, bounded_run_series, carlitz_series, longest_run_distribution
@@ -25,7 +26,7 @@ FORMATS = click.Choice(["text", "csv", "json"])
 
 
 @click.group()
-@click.version_option(package_name="runcomp", prog_name="runcomp")
+@click.version_option(version=__version__, prog_name="runcomp")
 def cli() -> None:
     """Exact counting of integer compositions with forbidden factors and bounded runs."""
 
@@ -74,12 +75,10 @@ def count(n: int, k: int, r: int) -> None:
 @click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
 @click.option("--method", type=click.Choice(["auto", "system", "easy"]),
               default="auto", show_default=True,
-              help="Closed form (easy), linear system, or pick automatically.")
+              help="One solver serves all three; easy also requires zero cross-correlations.")
 def avoid(words_text: str, max_weight: int, fmt: str, method: str) -> None:
     """Series counting compositions avoiding every listed factor."""
     forbidden = make_forbidden_list(parse_word_list(words_text))
-    if method == "auto":
-        method = "easy" if forbidden.easy_case else "system"
     if method == "easy":
         series = easy_case_series(forbidden, max_weight)
     else:

@@ -26,7 +26,7 @@ class ReducednessError(RuncompError):
 
 
 class NotEasyCaseError(RuncompError):
-    """The sparse closed form was requested for a list with nonzero cross-correlations."""
+    """The easy method was requested for a list with nonzero cross-correlations."""
 
 
 class PivotError(RuncompError):

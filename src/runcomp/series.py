@@ -12,13 +12,14 @@ Counting series always live in the triangle k <= n (a composition of n has
 at most n parts), so truncating the q-exponent at ``max_weight`` as well
 never touches them; it only bounds the scratch space of intermediate
 values.  With both variables nilpotent, any series whose constant term is
-+1 or -1 is invertible over the integers.
++1 or -1 is invertible over the integers, and dividing by it is exact.
 """
 
 import csv
 import io
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .errors import BoundMismatchError, CoefficientRangeError, NotInvertibleError
@@ -35,21 +36,36 @@ class Series:
     Instances are immutable value objects: operations return new series and
     equality is structural.  Zero coefficients are never stored, so two
     series are equal iff they have the same bound and the same terms.
+    ``coeffs`` is a read-only view; the operations read the dict behind it.
     """
 
     max_weight: int
     coeffs: Mapping[Cell, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_weight, int) or self.max_weight < 0:
+        if not _is_int(self.max_weight) or self.max_weight < 0:
             raise ValueError(f"max_weight must be a nonnegative integer, got {self.max_weight!r}")
         clean: dict[Cell, int] = {}
         for (n, k), c in self.coeffs.items():
             if n < 0 or k < 0:
                 raise ValueError(f"negative exponent in term x^{n} q^{k}")
+            if not _is_int(c):
+                raise TypeError(f"coefficient of x^{n} q^{k} must be an int, got {c!r}")
             if c and n <= self.max_weight and k <= self.max_weight:
                 clean[n, k] = c
-        object.__setattr__(self, "coeffs", clean)
+        self._freeze(clean)
+
+    def _freeze(self, cells: dict[Cell, int]) -> None:
+        object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "coeffs", MappingProxyType(cells))
+
+    @classmethod
+    def _of(cls, max_weight: int, cells: dict[Cell, int]) -> "Series":
+        """Wrap cells an operation produced: int coefficients inside the bound, zeros allowed."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "max_weight", max_weight)
+        series._freeze({cell: c for cell, c in cells.items() if c})
+        return series
 
     # -- constructors ------------------------------------------------
 
@@ -82,22 +98,22 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         self._require_same_bound(other)
-        total = dict(self.coeffs)
-        for cell, c in other.coeffs.items():
+        total = dict(self._cells)
+        for cell, c in other._cells.items():
             total[cell] = total.get(cell, 0) + c
-        return Series(self.max_weight, total)
+        return Series._of(self.max_weight, total)
 
     def __sub__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
         self._require_same_bound(other)
-        total = dict(self.coeffs)
-        for cell, c in other.coeffs.items():
+        total = dict(self._cells)
+        for cell, c in other._cells.items():
             total[cell] = total.get(cell, 0) - c
-        return Series(self.max_weight, total)
+        return Series._of(self.max_weight, total)
 
     def __neg__(self) -> "Series":
-        return Series(self.max_weight, {cell: -c for cell, c in self.coeffs.items()})
+        return Series._of(self.max_weight, {cell: -c for cell, c in self._cells.items()})
 
     def __mul__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
@@ -105,47 +121,70 @@ class Series:
         self._require_same_bound(other)
         bound = self.max_weight
         total: dict[Cell, int] = {}
-        for (n1, k1), c1 in self.coeffs.items():
-            for (n2, k2), c2 in other.coeffs.items():
+        for (n1, k1), c1 in self._cells.items():
+            for (n2, k2), c2 in other._cells.items():
                 n, k = n1 + n2, k1 + k2
                 if n <= bound and k <= bound:
                     cell = (n, k)
                     total[cell] = total.get(cell, 0) + c1 * c2
-        return Series(bound, total)
+        return Series._of(bound, total)
 
-    def invert(self) -> "Series":
-        """Multiplicative inverse; requires the constant term to be +1 or -1.
+    def __truediv__(self, other: "Series") -> "Series":
+        """Exact quotient; requires the divisor's constant term to be +1 or -1.
 
-        Coefficients of the inverse are filled cell by cell: the term at
-        (n, k) is determined by the already-known terms at componentwise
-        smaller cells, so one pass in lexicographic order suffices.
+        With c0 the divisor's constant term (so 1/c0 = c0), the quotient's
+        row of weight n is c0 * (numerator row - sum of c * x^a q^b times the
+        quotient row of weight n - a) over the divisor's other terms.  Rows
+        with a > 0 are already final; terms with a = 0 recur along the row.
+        The cost is O(N^2 * terms of the divisor), less where rows end early.
         """
-        c0 = self.coeffs.get((0, 0), 0)
+        if not isinstance(other, Series):
+            return NotImplemented
+        self._require_same_bound(other)
+        c0 = other._cells.get((0, 0), 0)
         if c0 not in (1, -1):
             raise NotInvertibleError(
                 f"series with constant term {c0} has no inverse over the integers")
-        bound = self.max_weight
-        rest = [(cell, c) for cell, c in self.coeffs.items() if cell != (0, 0)]
-        inv: dict[Cell, int] = {}
-        for n in range(bound + 1):
-            for k in range(bound + 1):
-                acc = 1 if n == 0 and k == 0 else 0
-                for (a, b), c in rest:
-                    if a <= n and b <= k:
-                        f = inv.get((n - a, k - b))
-                        if f:
-                            acc -= c * f
-                value = acc if c0 == 1 else -acc
-                if value:
-                    inv[n, k] = value
-        return Series(bound, inv)
+        width = self.max_weight + 1
+        rows = [[0] * width for _ in range(width)]
+        for (n, k), c in self._cells.items():
+            rows[n][k] = c0 * c
+        shifts = sorted((a, b, c0 * c) for (a, b), c in other._cells.items() if (a, b) != (0, 0))
+        along = [(b, c) for a, b, c in shifts if a == 0]
+        down = [(a, b, c) for a, b, c in shifts if a > 0]
+        quotient: dict[Cell, int] = {}
+        for n, row in enumerate(rows):
+            for a, b, c in down:
+                if a > n:
+                    break
+                source = rows[n - a][:width - b]
+                if source:
+                    end = b + len(source)
+                    row[b:end] = [x - c * y for x, y in zip(row[b:end], source)]
+            if along:
+                for k in range(width):
+                    value = row[k]
+                    for b, c in along:
+                        if b > k:
+                            break
+                        value -= c * row[k - b]
+                    row[k] = value
+            while row and not row[-1]:
+                row.pop()
+            quotient.update(((n, k), c) for k, c in enumerate(row) if c)
+        return Series._of(self.max_weight, quotient)
+
+    def invert(self) -> "Series":
+        """Multiplicative inverse; requires the constant term to be +1 or -1."""
+        return Series.one(self.max_weight) / self
 
     def truncate(self, max_weight: int) -> "Series":
         """Restrict to exponents <= max_weight; the bound can only shrink."""
         if max_weight > self.max_weight:
             raise ValueError(
                 f"cannot extend truncation bound from {self.max_weight} to {max_weight}")
-        return Series(max_weight, dict(self.coeffs))
+        return Series._of(max_weight, {(n, k): c for (n, k), c in self._cells.items()
+                                       if n <= max_weight and k <= max_weight})
 
     # -- access --------------------------------------------------------
 
@@ -157,36 +196,37 @@ class Series:
             raise CoefficientRangeError(
                 f"weight {weight} exceeds the truncation bound {self.max_weight}; "
                 "the coefficient is unknown, not zero")
-        return self.coeffs.get((weight, length), 0)
+        return self._cells.get((weight, length), 0)
 
     def terms(self) -> Iterator[tuple[int, int, int]]:
         """Yield (weight, length, coefficient) sorted by weight, then length."""
-        for cell in sorted(self.coeffs):
-            yield cell[0], cell[1], self.coeffs[cell]
+        cells = self._cells
+        for cell in sorted(cells):
+            yield cell[0], cell[1], cells[cell]
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._cells
 
     # -- rendering and serialization ------------------------------------
 
     def __str__(self) -> str:
         """Ascending in x, each coefficient a polynomial in q: "1+qx+(q+2q^2)x^3"."""
-        if not self.coeffs:
+        if not self._cells:
             return "0"
         pieces = []
-        weights = sorted({n for n, _ in self.coeffs})
+        weights = sorted({n for n, _ in self._cells})
         for n in weights:
             q_terms = [_q_term(k, c) for _, k, c in
-                       sorted((m, k, c) for (m, k), c in self.coeffs.items() if m == n)]
+                       sorted((m, k, c) for (m, k), c in self._cells.items() if m == n)]
             pieces.append(_x_piece(n, q_terms))
         return _join_signed(pieces)
 
     def text_by_length(self) -> str:
         """Ascending in q with x written first: "1+x^2q" (correlation-polynomial style)."""
-        if not self.coeffs:
+        if not self._cells:
             return "0"
         pieces = []
-        for k, n, c in sorted((k, n, c) for (n, k), c in self.coeffs.items()):
+        for k, n, c in sorted((k, n, c) for (n, k), c in self._cells.items()):
             body = _power("x", n) + _power("q", k)
             if not body:
                 pieces.append(str(c))
@@ -231,6 +271,10 @@ class Series:
     @classmethod
     def from_json(cls, text: str) -> "Series":
         return cls.from_json_obj(json.loads(text))
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _power(symbol: str, exponent: int) -> str:

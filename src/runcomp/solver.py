@@ -2,12 +2,19 @@
 
 For a reduced forbidden list with k words, the generating function of all
 compositions avoiding every listed factor is the first unknown of a
-(k+1) x (k+1) linear system whose entries are built from correlation
-polynomials.  The system is solved exactly by Gaussian elimination in the
-truncated series ring, dividing only by unit pivots (constant term +1 or
--1).  When all cross-correlations vanish ("easy case") the matrix is
-sparse and the solution collapses to an explicit reciprocal, evaluated by
-:func:`easy_case_series`.
+(k+1) x (k+1) linear system whose entries are correlation polynomials
+(Guibas and Odlyzko, 1981; the cluster method of Noonan and Zeilberger,
+1999, recasts it).  With polynomial entries the answer is rational:
+F = P / Q with P = det(A with column 0 replaced by the right-hand side)
+and Q = det(A).  Neither has an exponent above B, the sum over rows of the
+largest exponent in the row, and Q has constant term +1 or -1.
+
+:func:`avoidance_series` therefore runs Gaussian elimination, dividing
+only by unit pivots, in the ring truncated at min(N, B), where it is exact.
+It records Q as the signed product of the pivots, sets P = F * Q, and
+expands P / Q to N with one sparse division.  The cost is one elimination
+at bound B plus O(N^2 * |Q|), where |Q| is the number of terms of Q.
+Lists whose cross-correlations all vanish ("easy case") take the same path.
 """
 
 from dataclasses import dataclass
@@ -21,7 +28,6 @@ __all__ = [
     "build_system",
     "avoidance_series",
     "easy_case_series",
-    "determinant_solve",
 ]
 
 
@@ -60,16 +66,34 @@ def _is_unit(s: Series) -> bool:
     return s.coeffs.get((0, 0), 0) in (1, -1)
 
 
+def _degree_bound(system: AvoidanceSystem) -> int:
+    """Sum over rows of [A | rhs] of the largest exponent in the row.
+
+    Every term of det(A), and of det(A) with a column replaced by the
+    right-hand side, takes one entry from each row, so neither determinant
+    has an exponent above this sum.
+    """
+    return sum(max((max(cell) for entry in (*row, rhs) for cell in entry.coeffs), default=0)
+               for row, rhs in zip(system.matrix, system.rhs))
+
+
 def avoidance_series(system: AvoidanceSystem) -> Series:
     """First unknown of the system: sum of x^weight q^parts over avoiders.
+
+    Elimination runs at bound B = min(N, degree bound) and yields the first
+    unknown F and Q = det(A), the signed product of the pivots.  Both are
+    exact there, and so is P = F * Q; the result is P / Q expanded to N.
 
     Elimination is deterministic: columns are processed in order and the
     first row offering a unit pivot is chosen.  Rows are never reordered
     for any other reason, so results are reproducible.
     """
+    bound = system.max_weight
+    reduced = min(bound, _degree_bound(system))
     size = len(system.matrix)
-    rows = [list(row) for row in system.matrix]
-    rhs = list(system.rhs)
+    rows = [[entry.truncate(reduced) for entry in row] for row in system.matrix]
+    rhs = [entry.truncate(reduced) for entry in system.rhs]
+    det = Series.one(reduced)
     for col in range(size):
         pivot = next((r for r in range(col, size) if _is_unit(rows[r][col])), None)
         if pivot is None:
@@ -79,6 +103,8 @@ def avoidance_series(system: AvoidanceSystem) -> Series:
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
             rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
+            det = -det
+        det = det * rows[col][col]
         inv = rows[col][col].invert()
         rows[col] = [entry * inv for entry in rows[col]]
         rhs[col] = rhs[col] * inv
@@ -88,54 +114,26 @@ def avoidance_series(system: AvoidanceSystem) -> Series:
                 continue
             rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
             rhs[r] = rhs[r] - factor * rhs[col]
-    solution = [Series.zero(system.max_weight)] * size
+    solution = [Series.zero(reduced)] * size
     for col in range(size - 1, -1, -1):
         acc = rhs[col]
         for j in range(col + 1, size):
             acc = acc - rows[col][j] * solution[j]
         solution[col] = acc
-    return solution[0]
+    if reduced == bound:
+        return solution[0]
+    numerator = solution[0] * det
+    return Series(bound, numerator.coeffs) / Series(bound, det.coeffs)
 
 
 def easy_case_series(forbidden: ForbiddenList, max_weight: int) -> Series:
-    """Closed form for lists whose cross-correlations all vanish.
+    """The avoidance series of a list whose cross-correlations all vanish.
 
-    The avoidance series is the reciprocal of
-    1 - qx/(1-x) + sum over words of x^weight q^length / autocorrelation,
-    evaluated entirely in the truncated ring.
+    Such a list needs no other method: this validates the list and solves
+    its system like any other.
     """
     if not forbidden.easy_case:
         raise NotEasyCaseError(
             "list has a nonzero cross-correlation between distinct words; "
             "use the general solver")
-    bound = max_weight
-    denom = Series.one(bound) - Series.monomial(bound, 1, 1, 1) * Series.geom_x(bound)
-    for s in forbidden:
-        auto = correlation_polynomial(s, s, bound)
-        denom = denom + Series.monomial(bound, 1, s.weight, s.length) * auto.invert()
-    return denom.invert()
-
-
-def determinant_solve(system: AvoidanceSystem) -> Series:
-    """Cramer-style reference solution: det(A with column 0 replaced) / det(A).
-
-    Cofactor expansion costs factorially in the list size; this exists to
-    cross-check the elimination path on small lists, not to scale.
-    """
-    matrix = [list(row) for row in system.matrix]
-    replaced = [[system.rhs[i] if j == 0 else entry
-                 for j, entry in enumerate(row)] for i, row in enumerate(matrix)]
-    return _determinant(replaced) * _determinant(matrix).invert()
-
-
-def _determinant(matrix: list[list[Series]]) -> Series:
-    if len(matrix) == 1:
-        return matrix[0][0]
-    total = Series.zero(matrix[0][0].max_weight)
-    for j, entry in enumerate(matrix[0]):
-        if entry.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        term = entry * _determinant(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    return avoidance_series(build_system(forbidden, max_weight))

@@ -158,8 +158,8 @@ class ForbiddenList:
     """A validated reduced list of forbidden factors.
 
     ``easy_case`` is true when every pair of distinct entries has an
-    all-zero correlation vector, which makes the avoidance system sparse
-    enough for the explicit closed form.  Build instances through
+    all-zero correlation vector, which makes the avoidance system sparse;
+    ``avoid --method easy`` accepts only such lists.  Build instances through
     :func:`make_forbidden_list`, which establishes both invariants.
     """
 

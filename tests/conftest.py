@@ -6,7 +6,7 @@ from runcomp import Word, make_forbidden_list
 
 # Reduced lists over letters <= 3 with words of length <= 3.  The last four
 # have a nonzero cross-correlation (a suffix of one word is a prefix of
-# another), so they exercise the general solver rather than the closed form.
+# another), so the easy method rejects them.
 POOL_SPECS = [
     [(1, 1)],
     [(2, 2)],

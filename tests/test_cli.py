@@ -177,6 +177,11 @@ class TestExitCodes:
     def test_help_succeeds(self, capsys):
         assert invoke(capsys, "--help")[0] == 0
 
+    def test_version_from_sources(self, capsys):
+        code, out, _ = invoke(capsys, "--version")
+        assert code == 0
+        assert "0.1.0" in out
+
     def test_unknown_option(self, capsys):
         assert invoke(capsys, "carlitz", "--bogus")[0] == 1
 

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from runcomp import BoundMismatchError, CoefficientRangeError, NotInvertibleError, Series
+from runcomp import (
+    BoundMismatchError,
+    CoefficientRangeError,
+    NotInvertibleError,
+    Series,
+    carlitz_series,
+)
 
 
 def series_terms(max_weight, lo=-5, hi=5):
@@ -55,6 +61,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Series(-1, {})
 
+    def test_non_int_coefficients_rejected(self):
+        with pytest.raises(TypeError):
+            Series(3, {(0, 0): 1.5})
+        with pytest.raises(TypeError):
+            Series(3, {(1, 0): True})
+
+    def test_bool_bound_rejected(self):
+        with pytest.raises(ValueError):
+            Series(True, {})
+
     def test_equality_is_structural(self):
         assert Series(4, {(1, 1): 2}) == Series(4, {(1, 1): 2})
         assert Series(4, {(1, 1): 2}) != Series(5, {(1, 1): 2})
@@ -89,6 +105,29 @@ class TestIdentities:
             Series.one(3) + Series.one(4)
         with pytest.raises(BoundMismatchError):
             Series.one(3) * Series.one(4)
+
+
+class TestDivide:
+    def test_quotient_times_divisor_is_numerator(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            p = random_series(rng, 7, -4, 4)
+            d = random_series(rng, 7, -3, 3, unit=True)
+            assert (p / d) * d == p
+
+    def test_divide_by_one_minus_x_and_q(self):
+        # 1/(1 - x - xq) counts compositions by parts: C(n-1, k-1) at (n, k).
+        quotient = Series.one(6) / Series(6, {(0, 0): 1, (1, 0): -1, (1, 1): -1})
+        assert quotient.coefficient(6, 3) == math.comb(6, 3)
+        assert quotient * Series(6, {(0, 0): 1, (1, 0): -1, (1, 1): -1}) == Series.one(6)
+
+    def test_non_unit_divisor_raises(self):
+        with pytest.raises(NotInvertibleError):
+            Series.one(4) / Series(4, {(0, 0): 2})
+
+    def test_bound_mismatch_raises(self):
+        with pytest.raises(BoundMismatchError):
+            Series.one(3) / Series.one(4)
 
 
 class TestInvert:
@@ -241,3 +280,9 @@ class TestImmutability:
         a + b, a - b, a * b  # noqa: B018 - evaluate for effect
         assert dict(a.coeffs) == before_a
         assert dict(b.coeffs) == before_b
+
+    def test_coeffs_are_read_only(self):
+        s = carlitz_series(5)
+        with pytest.raises(TypeError):
+            s.coeffs[5, 1] = 999
+        assert carlitz_series(5).coefficient(5, 1) == 1

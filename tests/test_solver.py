@@ -1,9 +1,16 @@
-"""Avoidance system construction and the three solution paths."""
+"""Avoidance system construction and its one solver, checked three ways.
+
+The solver is compared with brute-force enumeration at small weights, with
+a cofactor-expansion determinant reference, and with a transfer-matrix
+count past the enumeration cap.
+"""
 
 import math
+from collections import Counter
 
 import pytest
 
+from conftest import POOL_SPECS
 from runcomp import (
     AvoidanceSystem,
     CompositionFilter,
@@ -15,7 +22,6 @@ from runcomp import (
     build_system,
     carlitz_series,
     count_by_parts,
-    determinant_solve,
     easy_case_series,
     is_reduced,
     make_forbidden_list,
@@ -178,8 +184,79 @@ class TestEasyCase:
             assert closed == avoidance_series(system)
 
 
+def determinant_solve(system):
+    """Cramer-style reference solution: det(A with column 0 replaced) / det(A)."""
+    replaced = [[system.rhs[i] if j == 0 else entry
+                 for j, entry in enumerate(row)] for i, row in enumerate(system.matrix)]
+    return _determinant(replaced) / _determinant(system.matrix)
+
+
+def _determinant(matrix):
+    """Cofactor expansion along the first row; factorial cost, small systems only."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    total = Series.zero(matrix[0][0].max_weight)
+    for j, entry in enumerate(matrix[0]):
+        if entry.is_zero():
+            continue
+        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
+        term = entry * _determinant(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
 class TestDeterminantReference:
     def test_agrees_with_elimination(self, list_pool):
         for forbidden in list_pool:
             system = build_system(forbidden, 7)
             assert determinant_solve(system) == avoidance_series(system), str(forbidden)
+
+
+def automaton_counts(forbidden, max_weight):
+    """Counter of (weight, parts) over compositions avoiding every listed factor.
+
+    A transfer-matrix count that shares no code with the series side.  The
+    state is the last (longest word length - 1) parts; parts above the
+    largest letter match no letter, so they all share one class, 0.
+    """
+    words = [w.letters for w in forbidden]
+    memory = max(map(len, words)) - 1
+    largest = max(max(w) for w in words)
+    layers = [Counter() for _ in range(max_weight + 1)]
+    layers[0][0, ()] = 1
+    counts = Counter()
+    for n, layer in enumerate(layers):
+        for (k, state), ways in layer.items():
+            counts[n, k] += ways
+            for part in range(1, max_weight - n + 1):
+                window = (*state, part if part <= largest else 0)
+                if any(window[len(window) - len(w):] == w for w in words):
+                    continue
+                layers[n + part][k + 1, window[len(window) - memory:]] += ways
+    return counts
+
+
+class TestPastTheOracleCap:
+    BOUND = 40
+    LISTS = [spec for spec in POOL_SPECS if not make_forbidden_list(
+        [Word(w) for w in spec]).easy_case] + [[(1, 2), (2, 1), (1, 1, 1)]]
+
+    @pytest.mark.parametrize("spec", LISTS, ids=str)
+    def test_every_cell_matches_automaton(self, spec):
+        forbidden = make_forbidden_list([Word(w) for w in spec])
+        series = avoidance_series(build_system(forbidden, self.BOUND))
+        counts = automaton_counts(forbidden, self.BOUND)
+        for n in range(self.BOUND + 1):
+            for k in range(self.BOUND + 1):
+                assert series.coefficient(n, k) == counts[n, k], (spec, n, k)
+
+    @pytest.mark.parametrize("spec", LISTS, ids=str)
+    def test_denominator_is_a_unit_polynomial_of_degree_at_most_d(self, spec):
+        forbidden = make_forbidden_list([Word(w) for w in spec])
+        degree = 1 + sum(w.weight for w in forbidden)
+        system = build_system(forbidden, self.BOUND)
+        denominator = _determinant(system.matrix)
+        assert denominator.coefficient(0, 0) in (1, -1)
+        assert max(max(cell) for cell in denominator.coeffs) <= degree
+        numerator = avoidance_series(system) * denominator
+        assert max(max(cell) for cell in numerator.coeffs) <= degree
