@@ -59,6 +59,10 @@ class Series:
         object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "coeffs", MappingProxyType(cells))
 
+    def __reduce__(self):
+        # The read-only view cannot be pickled; rebuild from a plain dict.
+        return (Series, (self.max_weight, dict(self._cells)))
+
     @classmethod
     def _of(cls, max_weight: int, cells: dict[Cell, int]) -> "Series":
         """Wrap cells an operation produced: int coefficients inside the bound, zeros allowed."""

@@ -10,6 +10,7 @@ import random
 import time
 from contextlib import contextmanager
 
+from conftest import closed_form_series
 from runcomp import (
     CompositionFilter,
     Series,
@@ -135,6 +136,7 @@ def test_criterion_6_easy_case_consistency(list_pool):
             reduced = system.rhs[0] * denom.invert()
             assert closed == solved, str(forbidden)
             assert reduced == solved, str(forbidden)
+            assert closed_form_series(forbidden, 10) == solved, str(forbidden)
 
 
 def test_criterion_7_structural_identities():

@@ -1,6 +1,8 @@
 """Series ring: identities, inversion, truncation, rendering, serialization."""
 
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -286,3 +288,10 @@ class TestImmutability:
         with pytest.raises(TypeError):
             s.coeffs[5, 1] = 999
         assert carlitz_series(5).coefficient(5, 1) == 1
+
+    def test_pickle_and_deepcopy_roundtrip(self):
+        s = carlitz_series(6)
+        for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
+            assert copied == s
+            with pytest.raises(TypeError):
+                copied.coeffs[6, 1] = 999

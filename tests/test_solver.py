@@ -1,8 +1,9 @@
-"""Avoidance system construction and its one solver, checked three ways.
+"""Avoidance system construction and its one solver, checked four ways.
 
 The solver is compared with brute-force enumeration at small weights, with
-a cofactor-expansion determinant reference, and with a transfer-matrix
-count past the enumeration cap.
+the easy-case closed form (``conftest.closed_form_series``), with a
+cofactor-expansion determinant reference, and with a transfer-matrix count
+past the enumeration cap.
 """
 
 import math
@@ -10,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import POOL_SPECS
+from conftest import POOL_SPECS, closed_form_series
 from runcomp import (
     AvoidanceSystem,
     CompositionFilter,
@@ -129,10 +130,10 @@ class TestEasyCase:
         assert str(series) == "1+qx+qx^2+(q+2q^2)x^3"
 
     def test_agrees_with_system(self, list_pool):
+        # The solver's answer for an easy list against the closed form.
         for forbidden in list_pool:
             if forbidden.easy_case:
-                assert easy_case_series(forbidden, 8) == \
-                    avoidance_series(build_system(forbidden, 8))
+                assert easy_case_series(forbidden, 8) == closed_form_series(forbidden, 8)
 
     def test_word_heavier_than_bound_counts_everything(self):
         forbidden = make_forbidden_list([Word((3, 3))])
@@ -143,7 +144,7 @@ class TestEasyCase:
 
     def test_exhaustive_small_easy_lists(self):
         # Every single word and every easy pair over letters <= 3 with
-        # weight <= 6: both routes must agree exactly at N=10.
+        # weight <= 6: the solver must match the closed form exactly at N=10.
         def bounded_words(max_weight, max_letter):
             def comps(m):
                 if m == 0:
@@ -165,7 +166,7 @@ class TestEasyCase:
             if not forbidden.easy_case:
                 continue
             assert easy_case_series(forbidden, 10) == \
-                avoidance_series(build_system(forbidden, 10)), str(forbidden)
+                closed_form_series(forbidden, 10), str(forbidden)
             checked += 1
         assert checked > 300
 
