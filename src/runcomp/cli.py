@@ -206,7 +206,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except PivotError as exc:
         click.echo(f"internal error: {exc}", err=True)
         return 2
-    except (RuncompError, ValueError) as exc:
+    except RuncompError as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     except Exception as exc:  # anything else is an invariant violation

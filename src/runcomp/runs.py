@@ -1,12 +1,11 @@
-"""Run-length statistics of compositions from closed-form series.
+"""Run-length statistics of compositions from one closed-form series.
 
-A run is a maximal block of equal adjacent parts.  Carlitz compositions
-are those whose runs all have length 1 (no two equal adjacent parts); more
-generally C(n, k, r) counts compositions of n into k parts with every run
-shorter than r.  Both generating functions are reciprocals of explicit
-denominators; the infinite sums over part values truncate exactly, because
-the j-th summand cannot contribute below x-degree 2j (Carlitz) or rj
-(bounded runs).
+A run is a maximal block of equal adjacent parts.  C(n, k, r) counts
+compositions of n into k parts with every run shorter than r; its
+generating function is the reciprocal of an explicit denominator whose sum
+over part values truncates exactly (the j-th summand starts at x-degree rj).
+Carlitz compositions (no two equal adjacent parts) are r = 2, and the
+longest-run distribution reads the q = 1 specialization.  Caches are bounded.
 """
 
 from dataclasses import dataclass
@@ -24,23 +23,20 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+_CACHE_SIZE = 32  # series kept per cached function
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def carlitz_series(max_weight: int) -> Series:
     """Generating function of Carlitz compositions, truncated at ``max_weight``.
 
     Coefficient (n, k) counts compositions of n into k parts with no two
-    equal adjacent parts.
+    equal adjacent parts, which are those whose runs are all shorter than 2.
     """
-    bound = max_weight
-    denom = Series.one(bound) - Series.monomial(bound, 1, 1, 1) * Series.geom_x(bound)
-    total = Series.zero(bound)
-    for j in range(1, bound // 2 + 1):
-        block = Series.one(bound) + Series.monomial(bound, 1, j, 1)  # 1 + q x^j
-        total = total + Series.monomial(bound, 1, 2 * j, 0) * block.invert()
-    return (denom + Series.monomial(bound, 1, 0, 2) * total).invert()
+    return bounded_run_series(2, max_weight)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def bounded_run_series(r: int, max_weight: int) -> Series:
     """Generating function of compositions whose runs are all shorter than ``r``.
 
@@ -49,15 +45,19 @@ def bounded_run_series(r: int, max_weight: int) -> Series:
     """
     if r < 1:
         raise ValueError(f"run bound must be >= 1, got {r}")
-    bound = max_weight
-    denom = Series.one(bound) - Series.monomial(bound, 1, 1, 1) * Series.geom_x(bound)
+    return _run_series(r, max_weight, 1)
+
+
+def _run_series(r: int, bound: int, part: int) -> Series:
+    """Bounded-run series with each part marked by q^p, p = ``part``; p = 0 puts q = 1."""
+    denom = Series.one(bound) - Series.monomial(bound, 1, 1, part) * Series.geom_x(bound)
     total = Series.zero(bound)
     for j in range(1, bound // r + 1):
         numer = Series.monomial(bound, 1, r * j, 0) * (
-            Series.one(bound) - Series.monomial(bound, 1, j, 1))  # x^{rj} (1 - q x^j)
-        geom = Series.one(bound) - Series.monomial(bound, 1, r * j, r)  # 1 - q^r x^{rj}
+            Series.one(bound) - Series.monomial(bound, 1, j, part))  # x^{rj} (1 - q^p x^j)
+        geom = Series.one(bound) - Series.monomial(bound, 1, r * j, r * part)  # 1 - q^{rp} x^{rj}
         total = total + numer * geom.invert()
-    return (denom + Series.monomial(bound, 1, 0, r) * total).invert()
+    return (denom + Series.monomial(bound, 1, 0, r * part) * total).invert()
 
 
 def bounded_run_count(n: int, k: int, r: int) -> int:
@@ -92,8 +92,7 @@ def longest_run_distribution(n: int) -> RunDistribution:
         raise ValueError(f"weight must be >= 1, got {n}")
 
     def admitted(r: int) -> int:
-        s = bounded_run_series(r, n)
-        return sum(s.coefficient(n, k) for k in range(n + 1))
+        return _run_series(r, n, 0).coefficient(n, 0)
 
     counts: dict[int, int] = {}
     below = admitted(1)

@@ -146,11 +146,16 @@ def is_reduced(words: Sequence[Word]) -> bool:
     A word is a factor of itself, so a duplicated entry makes the list
     non-reduced.
     """
+    return _factor_pair(words) is None
+
+
+def _factor_pair(words: Sequence[Word]) -> tuple[Word, Word] | None:
+    """First (u, v) of distinct entries with u a factor of v, or None."""
     for i, u in enumerate(words):
         for j, v in enumerate(words):
             if i != j and is_factor(u, v):
-                return False
-    return True
+                return u, v
+    return None
 
 
 @dataclass(frozen=True)
@@ -184,10 +189,9 @@ def make_forbidden_list(words: Iterable[Word]) -> ForbiddenList:
     for w in ws:
         if any(a < 1 for a in w.letters):
             raise InvalidWordError(f"forbidden word '{w}' must use letters >= 1")
-    for i, u in enumerate(ws):
-        for j, v in enumerate(ws):
-            if i != j and is_factor(u, v):
-                raise ReducednessError(f"list is not reduced: '{u}' is a factor of '{v}'")
+    pair = _factor_pair(ws)
+    if pair is not None:
+        raise ReducednessError(f"list is not reduced: '{pair[0]}' is a factor of '{pair[1]}'")
     easy = all(correlation_vector(u, v).is_zero()
                for i, u in enumerate(ws) for j, v in enumerate(ws) if i != j)
     return ForbiddenList(ws, easy)

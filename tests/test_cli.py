@@ -200,6 +200,15 @@ class TestExitCodes:
         assert code == 2
         assert "internal error" in err
 
+    def test_internal_value_error_maps_to_two(self, capsys, monkeypatch):
+        def explode(n):
+            raise ValueError("1/3 has no terminating decimal expansion")
+
+        monkeypatch.setattr(runcomp.cli, "longest_run_distribution", explode)
+        code, _, err = invoke(capsys, "longest-run", "--n", "3")
+        assert code == 2
+        assert "internal error" in err
+
     def test_unexpected_exception_maps_to_two(self, capsys, monkeypatch):
         def explode(max_weight):
             raise RuntimeError("boom")

@@ -57,8 +57,12 @@ class TestCarlitz:
         assert carlitz_series(0) == Series.one(0)
 
     def test_equals_run_bound_two(self):
+        # No two equal adjacent parts means avoiding every factor j j, which
+        # the general avoidance solver computes without the run formula.
         for bound in range(13):
-            assert carlitz_series(bound) == bounded_run_series(2, bound)
+            letters = [j for j in range(1, bound + 1) if 2 * j <= bound] or [1]
+            forbidden = make_forbidden_list([Word((j, j)) for j in letters])
+            assert carlitz_series(bound) == avoidance_series(build_system(forbidden, bound)), bound
 
     def test_matches_enumeration(self):
         s = carlitz_series(12)
@@ -178,3 +182,20 @@ class TestLongestRunDistribution:
     def test_invalid_weight(self):
         with pytest.raises(ValueError):
             longest_run_distribution(0)
+
+    @pytest.mark.parametrize("n", [30, 45])
+    def test_matches_bivariate_series_past_enumeration(self, n):
+        before = bounded_run_series.cache_info()
+        dist = longest_run_distribution(n)
+        assert bounded_run_series.cache_info() == before  # neither looked up nor filled
+        admitted = [sum(bounded_run_series(r, n).coefficient(n, k) for k in range(n + 1))
+                    for r in range(1, n + 2)]
+        expected = {length: admitted[length] - admitted[length - 1]
+                    for length in range(1, n + 1) if admitted[length] != admitted[length - 1]}
+        assert dist.counts == expected
+        assert sum(dist.counts.values()) == 2 ** (n - 1)
+
+
+def test_caches_are_bounded():
+    for cached in (carlitz_series, bounded_run_series):
+        assert cached.cache_info().maxsize is not None
