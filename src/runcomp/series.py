@@ -13,12 +13,17 @@ at most n parts), so truncating the q-exponent at ``max_weight`` as well
 never touches them; it only bounds the scratch space of intermediate
 values.  With both variables nilpotent, any series whose constant term is
 +1 or -1 is invertible over the integers, and dividing by it is exact.
+Division costs the quotient's reachable cells times the divisor's terms:
+O(N^2 * terms) for a series that fills the triangle, O(N * terms) for one
+whose cells all sit at k = 0 (the q = 1 specialization).
 """
 
 import csv
 import io
 import json
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -140,7 +145,11 @@ class Series:
         row of weight n is c0 * (numerator row - sum of c * x^a q^b times the
         quotient row of weight n - a) over the divisor's other terms.  Rows
         with a > 0 are already final; terms with a = 0 recur along the row.
-        The cost is O(N^2 * terms of the divisor), less where rows end early.
+        Each row is a list only as long as the q-extent it can reach: that of
+        the numerator row, or b plus the length of row n - a for some term.
+        Terms with a = 0 reach the whole bound.  The cost is the number of
+        reachable cells times the divisor's terms, so a series whose cells
+        all sit at k = 0 divides in O(N * terms).
         """
         if not isinstance(other, Series):
             return NotImplemented
@@ -150,22 +159,36 @@ class Series:
             raise NotInvertibleError(
                 f"series with constant term {c0} has no inverse over the integers")
         width = self.max_weight + 1
-        rows = [[0] * width for _ in range(width)]
+        numerator: dict[int, dict[int, int]] = {}
         for (n, k), c in self._cells.items():
-            rows[n][k] = c0 * c
+            numerator.setdefault(n, {})[k] = c0 * c
         shifts = sorted((a, b, c0 * c) for (a, b), c in other._cells.items() if (a, b) != (0, 0))
         along = [(b, c) for a, b, c in shifts if a == 0]
         down = [(a, b, c) for a, b, c in shifts if a > 0]
+        rows: list[list[int]] = []
         quotient: dict[Cell, int] = {}
-        for n, row in enumerate(rows):
+        for n in range(width):
+            cells = numerator.get(n, {})
+            row = [0] * (max(cells) + 1) if cells else []
+            for k, c in cells.items():
+                row[k] = c
             for a, b, c in down:
                 if a > n:
                     break
-                source = rows[n - a][:width - b]
-                if source:
+                source = rows[n - a]
+                if len(source) == 1:  # one cell: no list to build
+                    if b < len(row):
+                        row[b] -= c * source[0]
+                    else:
+                        row.extend([0] * (b - len(row)))
+                        row.append(-c * source[0])
+                elif source:
                     end = b + len(source)
+                    if end > len(row):
+                        row.extend([0] * (min(end, width) - len(row)))
                     row[b:end] = [x - c * y for x, y in zip(row[b:end], source)]
-            if along:
+            if along and row:
+                row.extend([0] * (width - len(row)))
                 for k in range(width):
                     value = row[k]
                     for b, c in along:
@@ -173,8 +196,7 @@ class Series:
                             break
                         value -= c * row[k - b]
                     row[k] = value
-            while row and not row[-1]:
-                row.pop()
+            rows.append(row)
             quotient.update(((n, k), c) for k, c in enumerate(row) if c)
         return Series._of(self.max_weight, quotient)
 
@@ -217,12 +239,8 @@ class Series:
         """Ascending in x, each coefficient a polynomial in q: "1+qx+(q+2q^2)x^3"."""
         if not self._cells:
             return "0"
-        pieces = []
-        weights = sorted({n for n, _ in self._cells})
-        for n in weights:
-            q_terms = [_q_term(k, c) for _, k, c in
-                       sorted((m, k, c) for (m, k), c in self._cells.items() if m == n)]
-            pieces.append(_x_piece(n, q_terms))
+        pieces = [_x_piece(n, [_q_term(k, c) for _, k, c in row])
+                  for n, row in groupby(self.terms(), key=itemgetter(0))]
         return _join_signed(pieces)
 
     def text_by_length(self) -> str:

@@ -47,6 +47,39 @@ RUNS_4_4 = Series(4, {
 })
 
 
+def transfer_matrix_counts(bound, r, mark_parts=True):
+    """{(n, k): compositions of n <= bound into k parts with every run shorter than r}.
+
+    A transfer-matrix DP over (weight, parts, last part, run length) that
+    shares no code with ``runcomp.runs`` or ``Series``.  Appending a part equal
+    to the last one lengthens the final run; any other part starts a run of
+    one.  With ``mark_parts`` false every composition is filed under k = 0.
+    """
+    step = 1 if mark_parts else 0
+    # ends[n][k, v, l]: compositions of n into k parts ending in a run of exactly l copies of v.
+    ends = [{} for _ in range(bound + 1)]
+    counts = {}
+    for n in range(bound + 1):
+        by_parts = {0: 1} if n == 0 else {}  # n = 0 holds only the empty composition
+        by_last = {}
+        for (k, v, l), c in ends[n].items():
+            by_parts[k] = by_parts.get(k, 0) + c
+            by_last[k, v] = by_last.get((k, v), 0) + c
+            if l + 1 < r and n + v <= bound:
+                key = (k + step, v, l + 1)
+                ends[n + v][key] = ends[n + v].get(key, 0) + c
+        for k, total in by_parts.items():
+            counts[n, k] = total
+            if r == 1:
+                continue  # a run of one part is already too long
+            for p in range(1, bound - n + 1):
+                fresh = total - by_last.get((k, p), 0)
+                if fresh:
+                    key = (k + step, p, 1)
+                    ends[n + p][key] = ends[n + p].get(key, 0) + fresh
+    return {cell: c for cell, c in counts.items() if c}
+
+
 class TestCarlitz:
     def test_golden_expansion(self):
         s = carlitz_series(5)
@@ -194,6 +227,29 @@ class TestLongestRunDistribution:
                     for length in range(1, n + 1) if admitted[length] != admitted[length - 1]}
         assert dist.counts == expected
         assert sum(dist.counts.values()) == 2 ** (n - 1)
+
+
+class TestTransferMatrix:
+    """Past the 2^(n-1) enumeration cap, against the independent DP above."""
+
+    def test_dp_matches_enumeration(self):
+        for r in (1, 2, 3):
+            counts = transfer_matrix_counts(10, r)
+            for n in range(1, 11):
+                tally = count_by_parts(n, CompositionFilter.max_run_below(r))
+                assert {k: c for (m, k), c in counts.items() if m == n} == tally
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_every_cell_of_bounded_run_series(self, r):
+        assert dict(bounded_run_series(r, 40).coeffs) == transfer_matrix_counts(40, r)
+
+    def test_longest_run_distribution(self):
+        n = 60
+        admitted = [transfer_matrix_counts(n, r, mark_parts=False).get((n, 0), 0)
+                    for r in range(1, n + 2)]
+        expected = {length: admitted[length] - admitted[length - 1]
+                    for length in range(1, n + 1) if admitted[length] != admitted[length - 1]}
+        assert longest_run_distribution(n).counts == expected
 
 
 def test_caches_are_bounded():

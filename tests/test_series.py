@@ -112,10 +112,32 @@ class TestIdentities:
 class TestDivide:
     def test_quotient_times_divisor_is_numerator(self):
         rng = random.Random(11)
-        for _ in range(30):
-            p = random_series(rng, 7, -4, 4)
-            d = random_series(rng, 7, -3, 3, unit=True)
+        pairs = [(random_series(rng, 7, -4, 4), random_series(rng, 7, -3, 3, unit=True))
+                 for _ in range(30)]
+        bound = 60
+        # Only k = 0 cells: the q = 1 specialization.
+        univariate = (
+            Series(bound, {(n, 0): rng.choice([-2, -1, 1, 3]) for n in range(0, bound + 1, 7)}),
+            Series(bound, {(0, 0): 1, (1, 0): -1, (3, 0): 2, (8, 0): -1}))
+        pairs += [
+            univariate,
+            # Empty rows between non-empty rows, in the numerator and the quotient.
+            (Series(bound, {(0, 0): 1, (25, 4): -2, (59, 1): 3}),
+             Series(bound, {(0, 0): 1, (20, 3): -1, (45, 0): 2})),
+            # Terms with a = 0 and b > 0 recur along each row.
+            (Series(bound, {(0, 0): 1, (2, 1): 5}),
+             Series(bound, {(0, 0): 1, (0, 1): 1, (0, 3): -2, (1, 2): -1})),
+            # Cells with k > n.
+            (Series(bound, {(0, 9): 2, (1, 40): -1, (3, 60): 1}),
+             Series(bound, {(0, 0): 1, (1, 9): -2, (2, 30): 1})),
+            # A constant term of -1.
+            (Series(bound, {(0, 0): 1, (5, 2): 1}),
+             Series(bound, {(0, 0): -1, (1, 0): 1, (1, 1): 1, (4, 2): -3})),
+        ]
+        for p, d in pairs:
             assert (p / d) * d == p
+        quotient = univariate[0] / univariate[1]
+        assert quotient.coeffs and all(k == 0 for _, k in quotient.coeffs)
 
     def test_divide_by_one_minus_x_and_q(self):
         # 1/(1 - x - xq) counts compositions by parts: C(n-1, k-1) at (n, k).
