@@ -1,10 +1,12 @@
 """Brute-force enumeration of compositions.
 
 The trust anchor for every generating-function result: compositions are
-listed exhaustively and filtered by direct inspection, with no shared code
-or algebra from the series side.  Enumeration is exponential (2^(n-1)
-compositions of n), so counting refuses weights above ``ENUMERATION_CAP``
-unless forced.
+listed by a pruned, lexicographic depth-first walk and filtered by direct
+inspection, with no shared code or algebra from the series side.  Every
+filter is a set of forbidden blocks (a run bound r forbids the blocks a^r),
+and the walk drops a prefix as soon as its last part completes a block.  It
+still has up to 2^(n-1) leaves, the compositions of n, so counting refuses
+weights above ``ENUMERATION_CAP`` unless forced.
 """
 
 from dataclasses import dataclass
@@ -25,21 +27,27 @@ __all__ = [
 ENUMERATION_CAP = 24  # ~8.4M compositions; past this the closed forms are the practical route
 
 
-def _parts_stream(n: int) -> Iterator[tuple[int, ...]]:
-    # Lexicographic by parts: (1,1,1) before (1,2) before (2,1) before (3).
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _parts_stream(n - first):
-            yield (first, *rest)
+def _walk(n: int, ends: dict[int, list[list[int]]], parts: list[int]) -> Iterator[tuple[int, ...]]:
+    # Lexicographic by parts, for n >= 1: (1,1,1), (1,2), (2,1), (3).  A prefix
+    # whose new last part completes a block is dropped with every extension.
+    for a in range(1, n + 1):
+        parts.append(a)
+        for block in ends.get(a, ()):
+            if parts[-len(block):] == block:
+                break
+        else:
+            if a == n:
+                yield tuple(parts)
+            else:
+                yield from _walk(n - a, ends, parts)
+        parts.pop()
 
 
 def enumerate_compositions(n: int) -> Iterator[Word]:
     """Yield the 2^(n-1) compositions of n once each, lexicographic by parts."""
     if n < 1:
         raise ValueError(f"weight must be >= 1, got {n}")
-    return (Word(parts) for parts in _parts_stream(n))
+    return (Word(parts) for parts in _walk(n, {}, []))
 
 
 def max_run_length(parts: tuple[int, ...]) -> int:
@@ -54,14 +62,9 @@ def max_run_length(parts: tuple[int, ...]) -> int:
     return best
 
 
-def _contains_factor(parts: tuple[int, ...], letters: tuple[int, ...]) -> bool:
-    m = len(letters)
-    return any(parts[i:i + m] == letters for i in range(len(parts) - m + 1))
-
-
 @dataclass(frozen=True)
 class CompositionFilter:
-    """Predicate over compositions: everything, factor avoidance, or a run cap."""
+    """Which compositions count: everything, factor avoidance, or a run cap."""
 
     forbidden: ForbiddenList | None = None
     run_bound: int | None = None
@@ -84,12 +87,13 @@ class CompositionFilter:
     def max_run_below(cls, r: int) -> "CompositionFilter":
         return cls(run_bound=r)
 
-    def accepts(self, parts: tuple[int, ...]) -> bool:
+    def blocks(self, n: int) -> list[list[int]]:
+        """The factors a composition of n may not contain: a^r for a run bound r."""
         if self.run_bound is not None:
-            return max_run_length(parts) < self.run_bound
+            return [[a] * self.run_bound for a in range(1, n // self.run_bound + 1)]
         if self.forbidden is not None:
-            return not any(_contains_factor(parts, w.letters) for w in self.forbidden)
-        return True
+            return [list(w.letters) for w in self.forbidden]
+        return []
 
 
 def _check_cap(n: int, force: bool) -> None:
@@ -99,31 +103,27 @@ def _check_cap(n: int, force: bool) -> None:
             f"of {ENUMERATION_CAP}; pass force=True (--force) to proceed anyway")
 
 
-def oracle_count(n: int, k: int | None = None,
-                 filt: CompositionFilter | None = None, force: bool = False) -> int:
-    """Count compositions of n (with k parts, or any k) accepted by the filter."""
+def _tally(n: int, filt: CompositionFilter | None, force: bool) -> dict[int, int]:
     if n < 1:
         raise ValueError(f"weight must be >= 1, got {n}")
     _check_cap(n, force)
-    if filt is None:
-        filt = CompositionFilter.all()
-    total = 0
-    for parts in _parts_stream(n):
-        if (k is None or len(parts) == k) and filt.accepts(parts):
-            total += 1
-    return total
+    ends: dict[int, list[list[int]]] = {}
+    for block in (filt or CompositionFilter.all()).blocks(n):
+        ends.setdefault(block[-1], []).append(block)
+    tally: dict[int, int] = {}
+    for parts in _walk(n, ends, []):
+        tally[len(parts)] = tally.get(len(parts), 0) + 1
+    return tally
+
+
+def oracle_count(n: int, k: int | None = None,
+                 filt: CompositionFilter | None = None, force: bool = False) -> int:
+    """Count compositions of n (with k parts, or any k) accepted by the filter."""
+    tally = _tally(n, filt, force)
+    return sum(tally.values()) if k is None else tally.get(k, 0)
 
 
 def count_by_parts(n: int, filt: CompositionFilter | None = None,
                    force: bool = False) -> dict[int, int]:
     """Accepted compositions of n tallied by number of parts."""
-    if n < 1:
-        raise ValueError(f"weight must be >= 1, got {n}")
-    _check_cap(n, force)
-    if filt is None:
-        filt = CompositionFilter.all()
-    tally: dict[int, int] = {}
-    for parts in _parts_stream(n):
-        if filt.accepts(parts):
-            tally[len(parts)] = tally.get(len(parts), 0) + 1
-    return tally
+    return _tally(n, filt, force)

@@ -46,7 +46,7 @@ class Word:
         if not letters:
             raise InvalidWordError("a word must have at least one letter")
         for a in letters:
-            if not isinstance(a, int) or a < 0:
+            if not isinstance(a, int) or isinstance(a, bool) or a < 0:
                 raise InvalidWordError(f"letters must be nonnegative integers, got {a!r}")
         object.__setattr__(self, "letters", letters)
 

@@ -1,5 +1,7 @@
 """Brute-force enumeration: ordering, totals, filters, safety cap."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,49 @@ from runcomp import (
     max_run_length,
     oracle_count,
     count_by_parts,
+    parse_word_list,
 )
+
+
+def reference_compositions(n):
+    """Every composition of n, built from its set of cuts, in lexicographic order.
+
+    Shares no code with the oracle's walk: each of the 2^(n-1) cut sets
+    between n units gives one composition, which is kept whole.
+    """
+    listing = []
+    for cuts in product((True, False), repeat=n - 1):
+        parts, part = [], 1
+        for cut in cuts:
+            if cut:
+                parts.append(part)
+                part = 1
+            else:
+                part += 1
+        listing.append((*parts, part))
+    return sorted(listing)
+
+
+def contains_factor(parts, letters):
+    m = len(letters)
+    return any(parts[i:i + m] == letters for i in range(len(parts) - m + 1))
+
+
+def reference_tally(n, accepts):
+    tally = {}
+    for parts in reference_compositions(n):
+        if accepts(parts):
+            tally[len(parts)] = tally.get(len(parts), 0) + 1
+    return tally
+
+
+# Easy lists, cross-correlated lists, a one-letter word, a word whose
+# letters exceed every n checked, and a word longer than every n checked.
+REFERENCE_LISTS = [
+    "1 1", "2 1 2", "1 1;2 2;3 3", "1 1 2;3",
+    "1 2;2 1", "1 2;2 3", "1 2;2 1;1 1 1", "1 2 1;2 1 2",
+    "2", "1;2 2", "13 1;2 2 2", "1 " * 13,
+]
 
 
 class TestEnumeration:
@@ -78,6 +122,56 @@ class TestFilters:
     def test_count_by_parts_sums_to_total(self):
         tally = count_by_parts(9)
         assert sum(tally.values()) == 2 ** 8
+
+
+class TestAgainstCutSets:
+    """The pruned walk against whole compositions built from cut sets."""
+
+    def check(self, n, filt, accepts):
+        expected = reference_tally(n, accepts)
+        assert count_by_parts(n, filt) == expected
+        for k in range(n + 2):
+            assert oracle_count(n, k, filt) == expected.get(k, 0)
+        assert oracle_count(n, None, filt) == sum(expected.values())
+
+    def test_listing_is_lexicographic(self):
+        for n in range(1, 11):
+            assert [w.letters for w in enumerate_compositions(n)] == reference_compositions(n)
+
+    def test_run_bounds(self):
+        for r in range(1, 8):
+            for n in range(1, 13):
+                self.check(n, CompositionFilter.max_run_below(r),
+                           lambda parts: max_run_length(parts) < r)
+
+    def test_forbidden_lists(self):
+        for spec in REFERENCE_LISTS:
+            forbidden = make_forbidden_list(parse_word_list(spec))
+            words = [w.letters for w in forbidden]
+            for n in range(1, 13):
+                self.check(n, CompositionFilter.avoid_factors(forbidden),
+                           lambda parts: not any(contains_factor(parts, w) for w in words))
+
+    def test_no_filter(self):
+        for n in range(1, 13):
+            self.check(n, CompositionFilter.all(), lambda parts: True)
+            assert count_by_parts(n) == count_by_parts(n, CompositionFilter.all())
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("one public oracle counter called the other")
+
+
+class TestOneSpanPerCall:
+    # A traced oracle_count must record one oracle.count span, so neither
+    # public counter may reach the other through the module's names.
+    def test_oracle_count_does_not_call_count_by_parts(self, monkeypatch):
+        monkeypatch.setattr(runcomp.oracle, "count_by_parts", _refuse)
+        assert oracle_count(6, 2, CompositionFilter.max_run_below(2)) == 4
+
+    def test_count_by_parts_does_not_call_oracle_count(self, monkeypatch):
+        monkeypatch.setattr(runcomp.oracle, "oracle_count", _refuse)
+        assert count_by_parts(4) == {1: 1, 2: 3, 3: 3, 4: 1}
 
 
 class TestEnumerationCap:

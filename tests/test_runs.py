@@ -15,11 +15,11 @@ from runcomp import (
     build_system,
     carlitz_series,
     count_by_parts,
+    enumerate_compositions,
     longest_run_distribution,
     make_forbidden_list,
     max_run_length,
 )
-from runcomp.oracle import _parts_stream
 
 CARLITZ_5 = Series(5, {
     (0, 0): 1,
@@ -199,8 +199,8 @@ class TestLongestRunDistribution:
     def test_matches_per_composition_tally(self):
         for n in range(1, 13):
             tally = {}
-            for parts in _parts_stream(n):
-                run = max_run_length(parts)
+            for w in enumerate_compositions(n):
+                run = max_run_length(w.letters)
                 tally[run] = tally.get(run, 0) + 1
             assert longest_run_distribution(n).counts == tally
 

@@ -30,6 +30,12 @@ class TestWord:
         with pytest.raises(InvalidWordError):
             Word((1, -2))
 
+    def test_bool_letter_rejected(self):
+        # True would otherwise render as "True" and compare equal to 1.
+        for letters in ((True, 2), (1, False)):
+            with pytest.raises(InvalidWordError):
+                Word(letters)
+
     def test_weight_and_length(self):
         w = Word((1, 1, 2))
         assert w.weight == 4
