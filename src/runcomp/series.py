@@ -13,14 +13,19 @@ at most n parts), so truncating the q-exponent at ``max_weight`` as well
 never touches them; it only bounds the scratch space of intermediate
 values.  With both variables nilpotent, any series whose constant term is
 +1 or -1 is invertible over the integers, and dividing by it is exact.
-Division costs the quotient's reachable cells times the divisor's terms:
-O(N^2 * terms) for a series that fills the triangle, O(N * terms) for one
-whose cells all sit at k = 0 (the q = 1 specialization).
+Division works on packed rows: the quotient's polynomial in q at each power
+of x is one Python int with a fixed-width slot per q-coefficient (Kronecker
+substitution), wide enough by a proven bound.  Each divisor term then costs
+one big-int shift and subtraction per row, done in C: O(N * terms) big-int
+operations on ints of at most (N+1)*W bits, plus decoding each quotient
+cell once.  When every cell sits at k = 0 (the q = 1 specialization) the
+rows are the coefficients themselves.
 """
 
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
@@ -141,15 +146,24 @@ class Series:
     def __truediv__(self, other: "Series") -> "Series":
         """Exact quotient; requires the divisor's constant term to be +1 or -1.
 
-        With c0 the divisor's constant term (so 1/c0 = c0), the quotient's
-        row of weight n is c0 * (numerator row - sum of c * x^a q^b times the
-        quotient row of weight n - a) over the divisor's other terms.  Rows
-        with a > 0 are already final; terms with a = 0 recur along the row.
-        Each row is a list only as long as the q-extent it can reach: that of
-        the numerator row, or b plus the length of row n - a for some term.
-        Terms with a = 0 reach the whole bound.  The cost is the number of
-        reachable cells times the divisor's terms, so a series whose cells
-        all sit at k = 0 divides in O(N * terms).
+        With c0 the divisor's constant term (so 1/c0 = c0), write c0 times
+        the divisor as 1 + D_0(q) + sum over a >= 1 of x^a D_a(q).  The
+        quotient's row of weight n, a polynomial in q, is then
+        E * (c0 * numerator row - sum over a of D_a * row n - a), where
+        E = 1/(1 + D_0) is a power series in q, computed once (E = 1 when no
+        term has a = 0).
+
+        Each row is packed into one signed int whose W-bit slots hold its
+        q-coefficients (Kronecker substitution), so q^b * row is
+        ``row << b*W`` and a divisor term (a, b, c) costs one big-int shift
+        and subtraction per row, in C.  W comes from a rigorous bound on
+        every quotient coefficient (``_slot_width``); a row that reaches
+        past q^N is cut by one mask.  When no cell can leave q^0 (the
+        q = 1 specialization), W is 0 and each row is its coefficient.
+
+        Cost: O(N * terms) big-int operations on rows of at most (N+1)*W
+        bits, plus one slice per decoded cell; a series whose cells all sit
+        at k = 0 costs O(N * terms) int operations.
         """
         if not isinstance(other, Series):
             return NotImplemented
@@ -158,47 +172,42 @@ class Series:
         if c0 not in (1, -1):
             raise NotInvertibleError(
                 f"series with constant term {c0} has no inverse over the integers")
-        width = self.max_weight + 1
-        numerator: dict[int, dict[int, int]] = {}
+        bound = self.max_weight
+        down = sorted((a, b, c0 * c) for (a, b), c in other._cells.items() if a)
+        along = {b: c0 * c for (a, b), c in other._cells.items() if not a and b}
+        recip = _q_reciprocal(along, bound)
+        flat = not along and not any(b for _, b, _ in down) and not any(
+            k for _, k in self._cells)
+        width = 0 if flat else _slot_width(self._cells, down, recip, bound)
+        numerator: dict[int, int] = {}
         for (n, k), c in self._cells.items():
-            numerator.setdefault(n, {})[k] = c0 * c
-        shifts = sorted((a, b, c0 * c) for (a, b), c in other._cells.items() if (a, b) != (0, 0))
-        along = [(b, c) for a, b, c in shifts if a == 0]
-        down = [(a, b, c) for a, b, c in shifts if a > 0]
-        rows: list[list[int]] = []
-        quotient: dict[Cell, int] = {}
-        for n in range(width):
-            cells = numerator.get(n, {})
-            row = [0] * (max(cells) + 1) if cells else []
-            for k, c in cells.items():
-                row[k] = c
+            numerator[n] = numerator.get(n, 0) + (c0 * c << k * width)
+        packed_recip = sum(e << j * width for j, e in enumerate(recip))
+        full = (bound + 1) * width  # bits of a row truncated at q^bound
+        half = 1 << full >> 1
+        rows: list[int] = []
+        for n in range(bound + 1):
+            row = numerator.get(n, 0)
             for a, b, c in down:
                 if a > n:
                     break
                 source = rows[n - a]
-                if len(source) == 1:  # one cell: no list to build
-                    if b < len(row):
-                        row[b] -= c * source[0]
-                    else:
-                        row.extend([0] * (b - len(row)))
-                        row.append(-c * source[0])
-                elif source:
-                    end = b + len(source)
-                    if end > len(row):
-                        row.extend([0] * (min(end, width) - len(row)))
-                    row[b:end] = [x - c * y for x, y in zip(row[b:end], source)]
+                if not source:
+                    continue
+                if c == 1:
+                    row -= source << b * width
+                elif c == -1:
+                    row += source << b * width
+                else:
+                    row -= c * source << b * width
             if along and row:
-                row.extend([0] * (width - len(row)))
-                for k in range(width):
-                    value = row[k]
-                    for b, c in along:
-                        if b > k:
-                            break
-                        value -= c * row[k - b]
-                    row[k] = value
+                row *= packed_recip
+            # Below half in absolute value, a row holds no slot past q^bound;
+            # otherwise keep its bound + 1 low slots, signed.
+            if width and row.bit_length() >= full:
+                row = ((row + half) & (2 * half - 1)) - half
             rows.append(row)
-            quotient.update(((n, k), c) for k, c in enumerate(row) if c)
-        return Series._of(self.max_weight, quotient)
+        return Series._of(bound, _unpack(rows, width))
 
     def invert(self) -> "Series":
         """Multiplicative inverse; requires the constant term to be +1 or -1."""
@@ -283,9 +292,15 @@ class Series:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Series":
+        """Inverse of ``to_json_obj``: int exponents, coefficients as ints or decimal strings."""
+        terms: dict[Cell, int] = {}
         try:
             max_weight = obj["max_weight"]
-            terms = {(int(t["n"]), int(t["k"])): int(t["c"]) for t in obj["terms"]}
+            for t in obj["terms"]:
+                cell = (_json_exponent(t["n"]), _json_exponent(t["k"]))
+                if cell in terms:
+                    raise ValueError(f"malformed series object: two terms for {cell}")
+                terms[cell] = _json_coefficient(t["c"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed series object: {exc}") from exc
         return cls(max_weight, terms)
@@ -295,8 +310,98 @@ class Series:
         return cls.from_json_obj(json.loads(text))
 
 
+def _q_reciprocal(along: dict[int, int], bound: int) -> list[int]:
+    """Coefficients of 1/(1 + sum of c * q^b over ``along``) up to q^bound; [1] if empty."""
+    if not along:
+        return [1]
+    recip = [1]
+    for k in range(1, bound + 1):
+        recip.append(-sum(c * recip[k - b] for b, c in along.items() if b <= k))
+    while recip[-1] == 0:
+        recip.pop()
+    return recip
+
+
+def _slot_width(numerator: Mapping[Cell, int], down: list[tuple[int, int, int]],
+                recip: list[int], bound: int) -> int:
+    """Bits per packed slot: enough for every quotient coefficient and its sign.
+
+    rho_n = |E|_1 * (|numerator row n|_inf + sum over a of |D_a|_1 * rho_(n-a))
+    bounds every coefficient of quotient row n, since a product's sup norm
+    is at most the 1-norm of one factor times the sup norm of the other.
+    The width holds max rho_n plus a sign bit, rounded up to whole bytes so
+    that rows decode with ``to_bytes``.
+    """
+    sup: dict[int, int] = {}
+    for (n, _), c in numerator.items():
+        sup[n] = max(sup.get(n, 0), abs(c))
+    columns: dict[int, int] = {}
+    for a, _, c in down:
+        columns[a] = columns.get(a, 0) + abs(c)
+    norms = sorted(columns.items())
+    recip_norm = sum(abs(e) for e in recip)
+    rho: list[int] = []
+    for n in range(bound + 1):
+        total = sup.get(n, 0)
+        for a, norm in norms:
+            if a > n:
+                break
+            total += norm * rho[n - a]
+        rho.append(recip_norm * total)
+    return (max(rho).bit_length() + 1 + 7) // 8 * 8
+
+
+def _unpack(rows: list[int], width: int) -> dict[Cell, int]:
+    """Cells of packed rows: slot k of ``rows[n]`` is the coefficient of x^n q^k.
+
+    Every slot holds less than half its range in absolute value, so a row's
+    top slot is its bit length // ``width`` and its lowest nonzero slot holds
+    its lowest set bit; a row of one slot is its coefficient.  Adding half a
+    slot to every slot up to the top makes each one nonnegative without
+    carries, so ``to_bytes`` splits the row into fixed-size slices.
+    """
+    if not width:
+        return {(n, 0): row for n, row in enumerate(rows) if row}
+    cells: dict[Cell, int] = {}
+    size = width // 8
+    half = 1 << width >> 1
+    slots = len(rows)  # N + 1 rows of N + 1 slots
+    bias = ((1 << slots * width) - 1) // ((1 << width) - 1) * half  # half in every slot
+    for n, row in enumerate(rows):
+        if not row:
+            continue
+        top = row.bit_length() // width
+        if not top:
+            cells[n, 0] = row
+            continue
+        first = ((row & -row).bit_length() - 1) // width
+        count = top - first + 1
+        data = ((row >> first * width) + (bias >> (slots - count) * width)).to_bytes(
+            count * size, "little")
+        for k in range(count):
+            c = int.from_bytes(data[k * size:(k + 1) * size], "little") - half
+            if c:
+                cells[n, first + k] = c
+    return cells
+
+
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_exponent(value: object) -> int:
+    if not _is_int(value):
+        raise ValueError(f"malformed series object: exponent {value!r} is not an int")
+    return value
+
+
+def _json_coefficient(value: object) -> int:
+    if _is_int(value):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    raise ValueError(
+        f"malformed series object: coefficient {value!r} is neither an int nor a decimal string")
 
 
 def _power(symbol: str, exponent: int) -> str:

@@ -202,4 +202,9 @@ def parse_word_list(text: str) -> list[Word]:
     pieces = text.split(";")
     if not any(piece.strip() for piece in pieces):
         raise InvalidWordError(f"cannot parse word list {text!r}: no words found")
+    for position, piece in enumerate(pieces, 1):
+        if not piece.strip():
+            raise InvalidWordError(
+                f"cannot parse word list {text!r}: word {position} of {len(pieces)} "
+                f"({piece!r}) is empty")
     return [Word.parse(piece) for piece in pieces]

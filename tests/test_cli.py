@@ -99,6 +99,11 @@ class TestAvoidCommand:
         assert code == 1
         assert "cannot parse" in err
 
+    def test_empty_word_names_its_position(self, capsys):
+        code, _, err = invoke(capsys, "avoid", "--words", "1 1;", "--max-weight", "4")
+        assert code == 1
+        assert err == "error: cannot parse word list '1 1;': word 2 of 2 ('') is empty\n"
+
 
 class TestCorrelateCommand:
     def test_binary_example(self, capsys):

@@ -14,6 +14,7 @@ from runcomp import (
     CoefficientRangeError,
     NotInvertibleError,
     Series,
+    bounded_run_series,
     carlitz_series,
 )
 
@@ -23,12 +24,12 @@ def series_terms(max_weight, lo=-5, hi=5):
     return st.dictionaries(cells, st.integers(lo, hi), max_size=12)
 
 
-def series_st(max_weight=5):
-    return series_terms(max_weight).map(lambda d: Series(max_weight, d))
+def series_st(max_weight=5, lo=-5, hi=5):
+    return series_terms(max_weight, lo, hi).map(lambda d: Series(max_weight, d))
 
 
-def unit_series_st(max_weight=5):
-    return st.tuples(series_terms(max_weight, -3, 3), st.sampled_from([1, -1])).map(
+def unit_series_st(max_weight=5, lo=-3, hi=3):
+    return st.tuples(series_terms(max_weight, lo, hi), st.sampled_from([1, -1])).map(
         lambda pair: Series(max_weight, {**pair[0], (0, 0): pair[1]}))
 
 
@@ -152,6 +153,147 @@ class TestDivide:
     def test_bound_mismatch_raises(self):
         with pytest.raises(BoundMismatchError):
             Series.one(3) / Series.one(4)
+
+
+def row_list_divide(numerator, divisor):
+    """Reference quotient: each row a list of q-coefficients, one cell at a time.
+
+    The row of weight n starts as c0 times the numerator row and, for each
+    divisor term (a, b, c) with a > 0, loses c times row n - a shifted by b;
+    terms with a = 0 then recur along the row.  A row is only as long as the
+    q-extent it can reach.  It shares no code with ``Series.__truediv__``.
+    """
+    bound = numerator.max_weight
+    c0 = divisor.coefficient(0, 0)
+    assert c0 in (1, -1)
+    width = bound + 1
+    numer = {}
+    for n, k, c in numerator.terms():
+        numer.setdefault(n, {})[k] = c0 * c
+    shifts = [(a, b, c0 * c) for a, b, c in divisor.terms() if (a, b) != (0, 0)]
+    along = [(b, c) for a, b, c in shifts if a == 0]
+    down = [(a, b, c) for a, b, c in shifts if a > 0]
+    rows = []
+    quotient = {}
+    for n in range(width):
+        cells = numer.get(n, {})
+        row = [0] * (max(cells) + 1) if cells else []
+        for k, c in cells.items():
+            row[k] = c
+        for a, b, c in down:
+            if a > n:
+                break
+            source = rows[n - a]
+            if source:
+                end = b + len(source)
+                if end > len(row):
+                    row.extend([0] * (min(end, width) - len(row)))
+                row[b:end] = [x - c * y for x, y in zip(row[b:end], source)]
+        if along and row:
+            row.extend([0] * (width - len(row)))
+            for k in range(width):
+                for b, c in along:
+                    if b > k:
+                        break
+                    row[k] -= c * row[k - b]
+        rows.append(row)
+        quotient.update(((n, k), c) for k, c in enumerate(row) if c)
+    return Series(bound, quotient)
+
+
+def run_denominator(r, bound):
+    """D_r = 1 - sum over e >= 1 of s_e q^e x^e / (1 - x^e), whose reciprocal counts C(n, k, r).
+
+    s_e is +1 for e = 1 (mod r), -1 for e = 0 (mod r) and 0 otherwise.
+    """
+    cells = {(0, 0): 1}
+    for e in range(1, bound + 1):
+        sign = 1 if e % r == 1 else -1 if e % r == 0 else 0
+        for j in range(1, bound // e + 1):
+            if sign:
+                cells[e * j, e] = cells.get((e * j, e), 0) - sign
+    return Series(bound, cells)
+
+
+class TestSlotWidth:
+    """Packed division must hold every quotient coefficient exactly, sign included."""
+
+    @pytest.mark.parametrize("ratio", [3, -3])
+    def test_geometric_worst_case(self, ratio):
+        # Coefficients 3^n in absolute value: the bound rho_n, attained exactly.
+        bound = 60
+        for k_of in (lambda n: 0, lambda n: n):
+            divisor = Series(bound, {(0, 0): 1, (1, k_of(1)): -ratio})
+            expected = Series(bound, {(n, k_of(n)): ratio ** n for n in range(bound + 1)})
+            assert Series.one(bound) / divisor == expected
+        # The same row, shifted to q^1 by the numerator.
+        numerator = Series.monomial(bound, 1, 0, 1)
+        divisor = Series(bound, {(0, 0): 1, (1, 0): -ratio})
+        assert numerator / divisor == Series(bound, {(n, 1): ratio ** n for n in range(bound + 1)})
+
+    @pytest.mark.parametrize("scale, sign", [(2, 1), (2, -1), (1, -1)])
+    def test_binomial_rows(self, scale, sign):
+        # 1/(1 - cx - csxq) = sum of c^n (1 + sq)^n x^n; s = -1 alternates signs within a row.
+        bound = 60
+        divisor = Series(bound, {(0, 0): 1, (1, 0): -scale, (1, 1): -scale * sign})
+        assert Series.one(bound) / divisor == Series(
+            bound, {(n, k): scale ** n * math.comb(n, k) * sign ** k
+                    for n in range(bound + 1) for k in range(n + 1)})
+
+    def test_huge_numerator_coefficients(self):
+        bound = 20
+        big = 2 ** 300
+        numerator = Series(bound, {(0, 0): big, (1, 3): -big, (4, 0): big - 1, (7, 20): -big})
+        for divisor in (Series(bound, {(0, 0): 1, (1, 0): -1, (1, 1): -1}),
+                        Series(bound, {(0, 0): -1, (2, 5): 3, (0, 2): 1})):
+            quotient = numerator / divisor
+            assert quotient * divisor == numerator
+            assert quotient == row_list_divide(numerator, divisor)
+
+    def test_terms_without_x_grow_the_row_reciprocal(self):
+        bound = 40
+        # 1/(1 + 2q): coefficients (-2)^k along q, from q^0 to the bound.
+        assert Series.one(bound) / Series(bound, {(0, 0): 1, (0, 1): 2}) == Series(
+            bound, {(0, k): (-2) ** k for k in range(bound + 1)})
+        for divisor in (Series(bound, {(0, 0): 1, (0, 1): 2, (1, 0): -1, (2, 3): 1}),
+                        Series(bound, {(0, 0): -1, (0, 1): 3, (0, 2): -3, (1, 1): 1})):
+            numerator = Series(bound, {(0, 0): 1, (3, 1): -5, (10, 38): 7})
+            quotient = numerator / divisor
+            assert quotient * divisor == numerator
+            assert quotient == row_list_divide(numerator, divisor)
+
+    def test_slots_past_the_bound_are_cut(self):
+        # Every row reaches past q^bound, with large negative slots beyond it.
+        bound = 10
+        numerator = Series(bound, {(0, k): -(3 ** k) for k in range(bound + 1)})
+        divisor = Series(bound, {(0, 0): 1, (1, 7): 3, (1, 2): -1, (2, 9): -2})
+        quotient = numerator / divisor
+        assert quotient * divisor == numerator
+        assert quotient == row_list_divide(numerator, divisor)
+        # Row 1 is -1 + q^4: one slot past the bound over a negative low part.
+        numerator = Series(3, {(0, 1): 1, (1, 0): -1})
+        assert numerator / Series(3, {(0, 0): 1, (1, 3): -1}) == Series(3, {(0, 1): 1, (1, 0): -1,
+                                                                            (2, 3): -1})
+
+    def test_bound_zero(self):
+        assert Series(0, {(0, 0): 5}) / Series(0, {(0, 0): -1}) == Series(0, {(0, 0): -5})
+        assert Series.one(0) / Series.one(0) == Series.one(0)
+        assert Series.zero(0) / Series.one(0) == Series.zero(0)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_quotient_times_divisor_is_numerator(self, data):
+        bound = data.draw(st.integers(0, 6))
+        p = data.draw(series_st(bound, -10 ** 6, 10 ** 6))
+        d = data.draw(unit_series_st(bound, -10 ** 6, 10 ** 6))
+        assert (p / d) * d == p
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_run_denominators_match_row_lists(self, r):
+        denominator = run_denominator(r, 100)
+        quotient = Series.one(100) / denominator
+        assert quotient == row_list_divide(Series.one(100), denominator)
+        assert quotient == bounded_run_series(r, 100)
 
 
 class TestInvert:
@@ -294,6 +436,32 @@ class TestSerialization:
     def test_malformed_json_rejected(self):
         with pytest.raises(ValueError):
             Series.from_json('{"terms": []}')
+
+    @pytest.mark.parametrize("term", [
+        {"n": True, "k": 1, "c": "1"},
+        {"n": 1, "k": 1.7, "c": "1"},
+        {"n": "1", "k": 1, "c": "1"},
+        {"n": 1, "k": 1, "c": 1.9},
+        {"n": 1, "k": 1, "c": False},
+        {"n": 1, "k": 1, "c": "1.5"},
+        {"n": 1, "k": 1, "c": " 7"},
+        {"n": 1, "k": 1, "c": "1_000"},
+        {"n": 1, "k": 1, "c": None},
+    ])
+    def test_non_int_exponents_and_coefficients_rejected(self, term):
+        with pytest.raises(ValueError, match="malformed series object"):
+            Series.from_json_obj({"max_weight": 3, "terms": [term]})
+
+    def test_repeated_cell_rejected(self):
+        terms = [{"n": 1, "k": 1, "c": "2"}, {"n": 1, "k": 1, "c": "3"}]
+        with pytest.raises(ValueError, match="two terms for"):
+            Series.from_json_obj({"max_weight": 3, "terms": terms})
+
+    def test_int_and_decimal_string_coefficients_accepted(self):
+        obj = {"max_weight": 3, "terms": [{"n": 1, "k": 1, "c": -2},
+                                          {"n": 2, "k": 0, "c": "-12"},
+                                          {"n": 3, "k": 1, "c": str(10 ** 40)}]}
+        assert Series.from_json_obj(obj) == Series(3, {(1, 1): -2, (2, 0): -12, (3, 1): 10 ** 40})
 
 
 class TestImmutability:

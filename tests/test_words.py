@@ -184,5 +184,7 @@ class TestParsing:
             parse_word_list("  ")
 
     def test_blank_segment_rejected(self):
-        with pytest.raises(InvalidWordError):
+        with pytest.raises(InvalidWordError, match=r"word 2 of 3 \(''\) is empty"):
             parse_word_list("1 1;;2 2")
+        with pytest.raises(InvalidWordError, match=r"word 2 of 2 \(' '\) is empty"):
+            parse_word_list("1 1; ")
