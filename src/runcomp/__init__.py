@@ -4,8 +4,8 @@ The package computes, with exact integer arithmetic throughout, the
 bivariate generating functions of compositions that avoid a reduced list
 of forbidden contiguous factors, and specializes them to Carlitz
 compositions and to compositions whose runs are all shorter than a bound.
-A brute-force enumeration oracle is shipped alongside so every analytic
-count can be cross-checked independently.
+An independent oracle, which counts through an automaton of the forbidden
+blocks, is shipped alongside so every analytic count can be cross-checked.
 """
 
 from .errors import (
@@ -23,8 +23,6 @@ from .oracle import (
     ENUMERATION_CAP,
     CompositionFilter,
     count_by_parts,
-    enumerate_compositions,
-    max_run_length,
     oracle_count,
 )
 from .runs import (
@@ -82,12 +80,10 @@ __all__ = [
     "correlation_vector",
     "count_by_parts",
     "easy_case_series",
-    "enumerate_compositions",
     "is_factor",
     "is_reduced",
     "longest_run_distribution",
     "make_forbidden_list",
-    "max_run_length",
     "oracle_count",
     "parse_word_list",
 ]

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands expose the counting series, correlation computations, the
-longest-run distribution, and the brute-force oracle.  Data goes to
+longest-run distribution, and the independent oracle.  Data goes to
 stdout, diagnostics to stderr.  Exit codes: 0 on success, 1 for usage or
 validation errors, 2 for internal invariant violations.
 """
@@ -149,10 +149,10 @@ def longest_run(n: int, fmt: str) -> None:
               help="Keep compositions whose runs are all shorter than this.")
 @click.option("--avoid", "avoid_text", default=None,
               help='Keep compositions avoiding these factors ("1 1;2 2").')
-@click.option("--force", is_flag=True, help="Enumerate past the safety cap.")
+@click.option("--force", is_flag=True, help="Count past the safety cap.")
 def oracle_cmd(n: int, k: int | None, max_run_below: int | None,
                avoid_text: str | None, force: bool) -> None:
-    """Brute-force count by explicit enumeration (independent of all series)."""
+    """Count through an automaton of the forbidden blocks (independent of all series)."""
     if max_run_below is not None and avoid_text is not None:
         raise click.UsageError("use either --max-run-below or --avoid, not both")
     if max_run_below is not None:

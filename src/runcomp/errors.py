@@ -34,4 +34,4 @@ class PivotError(RuncompError):
 
 
 class EnumerationCapError(RuncompError):
-    """Brute-force enumeration refused because the weight exceeds the safety cap."""
+    """An oracle count refused because the weight exceeds the safety cap."""

@@ -1,65 +1,40 @@
-"""Brute-force enumeration of compositions.
+"""Independent counting of compositions by an automaton over forbidden blocks.
 
-The trust anchor for every generating-function result: compositions are
-listed by a pruned, lexicographic depth-first walk and filtered by direct
-inspection, with no shared code or algebra from the series side.  Every
-filter is a set of forbidden blocks (a run bound r forbids the blocks a^r),
-and the walk drops a prefix as soon as its last part completes a block.  It
-still has up to 2^(n-1) leaves, the compositions of n, so counting refuses
-weights above ``ENUMERATION_CAP`` unless forced.
+The trust anchor for every generating-function result: it shares no code
+or algebra with the series side.  Every filter is a set of forbidden blocks
+(a run bound r forbids the blocks a^r), and a composition is read part by
+part through the Aho–Corasick automaton of those blocks (Aho and Corasick,
+"Efficient string matching", CACM 18(6), 1975).  Its states are the empty
+tuple and every proper prefix of a block; a step dies when the new part
+completes a block, and otherwise moves to the longest suffix that is a
+state.  Counting is the transfer-matrix method (Stanley, EC1 §4.7): a table
+indexed by weight and state holds, for each number of parts, how many
+accepted prefixes reach it.  Parts that occur in no block all lead back to
+the empty state, so they are summed once per weight.
+
+The table has n + 1 rows of at most (states) × (n + 1) counts, and each
+entry is pushed along at most n letters, so the cost is polynomial in n.
+The safety cap is kept for now: weights above ``ENUMERATION_CAP`` are
+refused unless forced.
 """
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import EnumerationCapError
-from .words import ForbiddenList, Word
+from .words import ForbiddenList
 
 __all__ = [
     "ENUMERATION_CAP",
     "CompositionFilter",
-    "enumerate_compositions",
     "oracle_count",
     "count_by_parts",
-    "max_run_length",
 ]
 
-ENUMERATION_CAP = 24  # ~8.4M compositions; past this the closed forms are the practical route
+ENUMERATION_CAP = 24  # largest weight counted without force=True
 
 
-def _walk(n: int, ends: dict[int, list[list[int]]], parts: list[int]) -> Iterator[tuple[int, ...]]:
-    # Lexicographic by parts, for n >= 1: (1,1,1), (1,2), (2,1), (3).  A prefix
-    # whose new last part completes a block is dropped with every extension.
-    for a in range(1, n + 1):
-        parts.append(a)
-        for block in ends.get(a, ()):
-            if parts[-len(block):] == block:
-                break
-        else:
-            if a == n:
-                yield tuple(parts)
-            else:
-                yield from _walk(n - a, ends, parts)
-        parts.pop()
-
-
-def enumerate_compositions(n: int) -> Iterator[Word]:
-    """Yield the 2^(n-1) compositions of n once each, lexicographic by parts."""
-    if n < 1:
-        raise ValueError(f"weight must be >= 1, got {n}")
-    return (Word(parts) for parts in _walk(n, {}, []))
-
-
-def max_run_length(parts: tuple[int, ...]) -> int:
-    """Length of the longest block of equal adjacent parts; 0 for the empty tuple."""
-    best = run = 0
-    prev = None
-    for a in parts:
-        run = run + 1 if a == prev else 1
-        prev = a
-        if run > best:
-            best = run
-    return best
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -72,8 +47,8 @@ class CompositionFilter:
     def __post_init__(self) -> None:
         if self.forbidden is not None and self.run_bound is not None:
             raise ValueError("choose either factor avoidance or a run bound, not both")
-        if self.run_bound is not None and self.run_bound < 1:
-            raise ValueError(f"run bound must be >= 1, got {self.run_bound}")
+        if self.run_bound is not None and (not _is_int(self.run_bound) or self.run_bound < 1):
+            raise ValueError(f"run bound must be an int >= 1, got {self.run_bound!r}")
 
     @classmethod
     def all(cls) -> "CompositionFilter":
@@ -103,22 +78,50 @@ def _check_cap(n: int, force: bool) -> None:
             f"of {ENUMERATION_CAP}; pass force=True (--force) to proceed anyway")
 
 
+def _append_part(into: dict[int, int], by_parts: dict[int, int]) -> None:
+    for k, c in by_parts.items():
+        into[k + 1] = into.get(k + 1, 0) + c
+
+
 def _tally(n: int, filt: CompositionFilter | None, force: bool) -> dict[int, int]:
-    if n < 1:
-        raise ValueError(f"weight must be >= 1, got {n}")
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"weight must be an int >= 1, got {n!r}")
     _check_cap(n, force)
-    ends: dict[int, list[list[int]]] = {}
-    for block in (filt or CompositionFilter.all()).blocks(n):
-        ends.setdefault(block[-1], []).append(block)
-    tally: dict[int, int] = {}
-    for parts in _walk(n, ends, []):
-        tally[len(parts)] = tally.get(len(parts), 0) + 1
-    return tally
+    blocks = {tuple(b) for b in (filt or CompositionFilter.all()).blocks(n)}
+    states = {()} | {b[:j] for b in blocks for j in range(len(b))}
+    letters = {a for b in blocks for a in b if a <= n}
+    # moves[s]: (part, next state) for each letter of a block whose step from s is not dead.
+    moves: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {s: [] for s in states}
+    for s in states:
+        for a in letters:
+            t = s + (a,)
+            if not any(t[i:] in blocks for i in range(len(t))):
+                longest = next(t[i:] for i in range(len(t) + 1) if t[i:] in states)
+                moves[s].append((a, longest))
+    free = [a for a in range(1, n + 1) if a not in letters]
+    # table[w][s]: {parts: prefixes of weight w that leave the automaton in state s}.
+    table: list[dict[tuple[int, ...], dict[int, int]]] = [{} for _ in range(n + 1)]
+    table[0][()] = {0: 1}
+    for w in range(n + 1):
+        total: dict[int, int] = {}
+        for s, by_parts in table[w].items():
+            for k, c in by_parts.items():
+                total[k] = total.get(k, 0) + c
+            for a, t in moves[s]:
+                if w + a <= n:
+                    _append_part(table[w + a].setdefault(t, {}), by_parts)
+        for a in free:
+            if w + a > n:
+                break
+            _append_part(table[w + a].setdefault((), {}), total)
+    return dict(sorted(total.items()))  # the last pass summed row n over every state
 
 
 def oracle_count(n: int, k: int | None = None,
                  filt: CompositionFilter | None = None, force: bool = False) -> int:
     """Count compositions of n (with k parts, or any k) accepted by the filter."""
+    if k is not None and (not _is_int(k) or k < 0):
+        raise ValueError(f"number of parts must be an int >= 0, got {k!r}")
     tally = _tally(n, filt, force)
     return sum(tally.values()) if k is None else tally.get(k, 0)
 

@@ -11,6 +11,7 @@ integer words can be computed; forbidden lists and all counting operations
 require strictly positive letters, since composition parts are >= 1.
 """
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -52,11 +53,17 @@ class Word:
 
     @classmethod
     def parse(cls, text: str) -> "Word":
-        """Parse a space-separated word such as "1 1 2"."""
-        try:
-            return cls(tuple(int(piece) for piece in text.split()))
-        except ValueError as exc:
-            raise InvalidWordError(f"cannot parse word {text!r}: {exc}") from exc
+        """Parse a space-separated word such as "1 1 2".
+
+        Each letter is a run of ASCII digits: no sign, no underscore and no
+        other script's digits, although ``int()`` would accept all three.
+        """
+        pieces = text.split()
+        for piece in pieces:
+            if not re.fullmatch(r"[0-9]+", piece):
+                raise InvalidWordError(
+                    f"cannot parse word {text!r}: letter {piece!r} is not a run of digits 0-9")
+        return cls(tuple(int(piece) for piece in pieces))
 
     @property
     def weight(self) -> int:

@@ -1,5 +1,8 @@
-"""Shared fixtures: the fixed pool of reduced forbidden lists, and the
-easy-case closed form the solver is checked against."""
+"""Shared fixtures: the fixed pool of reduced forbidden lists, the
+easy-case closed form the solver is checked against, and the composition
+listings the oracle is checked against."""
+
+from itertools import product
 
 import pytest
 
@@ -43,3 +46,52 @@ def closed_form_series(forbidden, max_weight):
         auto = correlation_polynomial(s, s, bound)
         denom = denom + Series.monomial(bound, 1, s.weight, s.length) * auto.invert()
     return denom.invert()
+
+
+def reference_compositions(n):
+    """Every composition of n, built from its set of cuts, in lexicographic order.
+
+    Shares no code with the oracle: each of the 2^(n-1) cut sets between n
+    units gives one composition, which is kept whole.
+    """
+    listing = []
+    for cuts in product((True, False), repeat=n - 1):
+        parts, part = [], 1
+        for cut in cuts:
+            if cut:
+                parts.append(part)
+                part = 1
+            else:
+                part += 1
+        listing.append((*parts, part))
+    return sorted(listing)
+
+
+def enumerate_compositions(n):
+    """Yield the 2^(n-1) compositions of n once each as Words, lexicographic by parts.
+
+    A depth-first walk that appends one part at a time, independent of the
+    cut-set listing above.
+    """
+    if n < 1:
+        raise ValueError(f"weight must be >= 1, got {n}")
+
+    def extend(rest, parts):
+        for a in range(1, rest + 1):
+            if a == rest:
+                yield (*parts, a)
+            else:
+                yield from extend(rest - a, (*parts, a))
+
+    return (Word(parts) for parts in extend(n, ()))
+
+
+def max_run_length(parts):
+    """Length of the longest block of equal adjacent parts; 0 for the empty tuple."""
+    best = run = 0
+    prev = None
+    for a in parts:
+        run = run + 1 if a == prev else 1
+        prev = a
+        best = max(best, run)
+    return best

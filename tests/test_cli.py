@@ -99,6 +99,14 @@ class TestAvoidCommand:
         assert code == 1
         assert "cannot parse" in err
 
+    def test_letters_are_ascii_digits_only(self, capsys):
+        # int() would read "1_0" as the letter 10 and "+1 \u0661" as the word 1 1.
+        for words in ("1_0", "+1 \u0661"):
+            code, out, err = invoke(capsys, "avoid", "--words", words, "--max-weight", "4")
+            assert code == 1
+            assert out == ""
+            assert "not a run of digits" in err
+
     def test_empty_word_names_its_position(self, capsys):
         code, _, err = invoke(capsys, "avoid", "--words", "1 1;", "--max-weight", "4")
         assert code == 1

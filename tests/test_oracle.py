@@ -1,6 +1,5 @@
-"""Brute-force enumeration: ordering, totals, filters, safety cap."""
-
-from itertools import product
+"""The automaton oracle: totals, filters, validation and the safety cap,
+checked against whole compositions listed from their cut sets."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,32 +10,12 @@ from runcomp import (
     CompositionFilter,
     EnumerationCapError,
     Word,
-    enumerate_compositions,
     make_forbidden_list,
-    max_run_length,
     oracle_count,
     count_by_parts,
     parse_word_list,
 )
-
-
-def reference_compositions(n):
-    """Every composition of n, built from its set of cuts, in lexicographic order.
-
-    Shares no code with the oracle's walk: each of the 2^(n-1) cut sets
-    between n units gives one composition, which is kept whole.
-    """
-    listing = []
-    for cuts in product((True, False), repeat=n - 1):
-        parts, part = [], 1
-        for cut in cuts:
-            if cut:
-                parts.append(part)
-                part = 1
-            else:
-                part += 1
-        listing.append((*parts, part))
-    return sorted(listing)
+from conftest import enumerate_compositions, max_run_length, reference_compositions
 
 
 def contains_factor(parts, letters):
@@ -125,7 +104,7 @@ class TestFilters:
 
 
 class TestAgainstCutSets:
-    """The pruned walk against whole compositions built from cut sets."""
+    """The automaton count against whole compositions built from cut sets."""
 
     def check(self, n, filt, accepts):
         expected = reference_tally(n, accepts)
@@ -152,10 +131,43 @@ class TestAgainstCutSets:
                 self.check(n, CompositionFilter.avoid_factors(forbidden),
                            lambda parts: not any(contains_factor(parts, w) for w in words))
 
+    @given(st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple),
+                    min_size=1, max_size=4),
+           st.integers(1, 10))
+    @settings(max_examples=100, deadline=None)
+    def test_random_lists(self, words, n):
+        # Dropping repeats and every word that contains another listed word
+        # leaves the same compositions; the reference scans for every drawn word.
+        unique = list(dict.fromkeys(words))
+        kept = [w for w in unique if not any(v != w and contains_factor(w, v) for v in unique)]
+        forbidden = make_forbidden_list([Word(w) for w in kept])
+        self.check(n, CompositionFilter.avoid_factors(forbidden),
+                   lambda parts: not any(contains_factor(parts, w) for w in words))
+
     def test_no_filter(self):
         for n in range(1, 13):
             self.check(n, CompositionFilter.all(), lambda parts: True)
             assert count_by_parts(n) == count_by_parts(n, CompositionFilter.all())
+
+
+class TestValidation:
+    def test_parts_must_be_a_nonnegative_int(self):
+        for k in (-1, 1.5, True, "2"):
+            with pytest.raises(ValueError, match="number of parts"):
+                oracle_count(5, k)
+        assert oracle_count(5, 0) == 0
+
+    def test_weight_must_be_an_int(self):
+        for n in (5.0, True, "5"):
+            with pytest.raises(ValueError, match="weight"):
+                oracle_count(n)
+            with pytest.raises(ValueError, match="weight"):
+                count_by_parts(n)
+
+    def test_run_bound_must_be_an_int(self):
+        for r in (True, False, 2.0, 0):
+            with pytest.raises(ValueError, match="run bound"):
+                CompositionFilter.max_run_below(r)
 
 
 def _refuse(*args, **kwargs):

@@ -15,11 +15,10 @@ from runcomp import (
     build_system,
     carlitz_series,
     count_by_parts,
-    enumerate_compositions,
     longest_run_distribution,
     make_forbidden_list,
-    max_run_length,
 )
+from conftest import enumerate_compositions, max_run_length
 
 CARLITZ_5 = Series(5, {
     (0, 0): 1,
@@ -242,6 +241,12 @@ class TestTransferMatrix:
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_every_cell_of_bounded_run_series(self, r):
         assert dict(bounded_run_series(r, 40).coeffs) == transfer_matrix_counts(40, r)
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_oracle_past_the_cap(self, r):
+        n = 40
+        expected = {k: c for (m, k), c in transfer_matrix_counts(n, r).items() if m == n}
+        assert count_by_parts(n, CompositionFilter.max_run_below(r), force=True) == expected
 
     def test_longest_run_distribution(self):
         n = 60

@@ -1,9 +1,9 @@
 """Avoidance system construction and its one solver, checked four ways.
 
-The solver is compared with brute-force enumeration at small weights, with
+The solver is compared with the oracle's count at small weights, with
 the easy-case closed form (``conftest.closed_form_series``), with a
 cofactor-expansion determinant reference, and with a transfer-matrix count
-past the enumeration cap.
+past the oracle's cap, where the oracle itself is checked against that count.
 """
 
 import math
@@ -250,6 +250,14 @@ class TestPastTheOracleCap:
         for n in range(self.BOUND + 1):
             for k in range(self.BOUND + 1):
                 assert series.coefficient(n, k) == counts[n, k], (spec, n, k)
+
+    @pytest.mark.parametrize("spec", LISTS, ids=str)
+    def test_oracle_matches_automaton(self, spec):
+        forbidden = make_forbidden_list([Word(w) for w in spec])
+        filt = CompositionFilter.avoid_factors(forbidden)
+        counts = automaton_counts(forbidden, self.BOUND)
+        expected = {k: c for (n, k), c in counts.items() if n == self.BOUND}
+        assert count_by_parts(self.BOUND, filt, force=True) == expected
 
     @pytest.mark.parametrize("spec", LISTS, ids=str)
     def test_denominator_is_a_unit_polynomial_of_degree_at_most_d(self, spec):

@@ -50,6 +50,14 @@ class TestWord:
         with pytest.raises(InvalidWordError):
             Word.parse("1 one 2")
 
+    def test_parse_accepts_only_ascii_digits(self):
+        # int() reads each of these letters as a number: "1_0" as 10, "+1"
+        # as 1, the Arabic-Indic "\u0661" as 1 and the fullwidth "\uff12" as 2.
+        for text in ("1_0", "+1 \u0661", "1 -2", "\u0661", "1 \uff12"):
+            with pytest.raises(InvalidWordError, match="not a run of digits"):
+                Word.parse(text)
+        assert Word.parse(" 0 07 12 ") == Word((0, 7, 12))
+
     @given(words_st, words_st)
     @settings(max_examples=50)
     def test_weight_and_length_additive_under_concatenation(self, u, v):
