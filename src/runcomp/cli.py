@@ -6,13 +6,11 @@ stdout, diagnostics to stderr.  Exit codes: 0 on success, 1 for usage or
 validation errors, 2 for internal invariant violations.
 """
 
-import json
+import argparse
 import math
 import sys
 from fractions import Fraction
 from typing import Sequence
-
-import click
 
 from . import __version__
 from .errors import PivotError, RuncompError
@@ -22,60 +20,33 @@ from .series import Series
 from .solver import avoidance_series, build_system, easy_case_series
 from .words import Word, correlation_polynomial, correlation_vector, make_forbidden_list, parse_word_list
 
-FORMATS = click.Choice(["text", "csv", "json"])
+FORMATS = ("text", "csv", "json")
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="runcomp")
-def cli() -> None:
-    """Exact counting of integer compositions with forbidden factors and bounded runs."""
-
-
-def _echo_series(series: Series, fmt: str) -> None:
+def _print_series(series: Series, fmt: str) -> None:
     if fmt == "text":
-        click.echo(str(series))
+        print(series)
     elif fmt == "csv":
-        click.echo(series.to_csv(), nl=False)
+        print(series.to_csv(), end="")
     else:
-        click.echo(series.to_json())
+        print(series.to_json())
 
 
-@cli.command()
-@click.option("--max-weight", type=click.IntRange(min=0), required=True,
-              help="Truncation bound on the composed integer.")
-@click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
 def carlitz(max_weight: int, fmt: str) -> None:
     """Series counting compositions with no two equal adjacent parts."""
-    _echo_series(carlitz_series(max_weight), fmt)
+    _print_series(carlitz_series(max_weight), fmt)
 
 
-@cli.command()
-@click.option("--r", "r", type=click.IntRange(min=1), required=True,
-              help="Run bound: count compositions with every run shorter than r.")
-@click.option("--max-weight", type=click.IntRange(min=0), required=True)
-@click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
 def runs(r: int, max_weight: int, fmt: str) -> None:
     """Series counting compositions with all runs shorter than r."""
-    _echo_series(bounded_run_series(r, max_weight), fmt)
+    _print_series(bounded_run_series(r, max_weight), fmt)
 
 
-@cli.command()
-@click.option("--n", "n", type=click.IntRange(min=0), required=True)
-@click.option("--k", "k", type=click.IntRange(min=0), required=True)
-@click.option("--r", "r", type=click.IntRange(min=1), required=True)
 def count(n: int, k: int, r: int) -> None:
     """Number of compositions of n into k parts with all runs shorter than r."""
-    click.echo(str(bounded_run_count(n, k, r)))
+    print(bounded_run_count(n, k, r))
 
 
-@cli.command()
-@click.option("--words", "words_text", required=True,
-              help='Forbidden factors, ";"-separated: "1 1;2 2".')
-@click.option("--max-weight", type=click.IntRange(min=0), required=True)
-@click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
-@click.option("--method", type=click.Choice(["auto", "system", "easy"]),
-              default="auto", show_default=True,
-              help="One solver serves all three; easy also requires zero cross-correlations.")
 def avoid(words_text: str, max_weight: int, fmt: str, method: str) -> None:
     """Series counting compositions avoiding every listed factor."""
     forbidden = make_forbidden_list(parse_word_list(words_text))
@@ -83,27 +54,19 @@ def avoid(words_text: str, max_weight: int, fmt: str, method: str) -> None:
         series = easy_case_series(forbidden, max_weight)
     else:
         series = avoidance_series(build_system(forbidden, max_weight))
-    _echo_series(series, fmt)
+    _print_series(series, fmt)
 
 
-@cli.command()
-@click.option("--x", "x_text", required=True, help='First word, e.g. "1 1 0".')
-@click.option("--y", "y_text", required=True, help='Second word.')
-@click.option("--max-weight", type=click.IntRange(min=0), default=None,
-              help="Truncation bound for the polynomial; defaults to the weight of the first word.")
 def correlate(x_text: str, y_text: str, max_weight: int | None) -> None:
     """Correlation vector and polynomial of the first word on the second."""
     x = Word.parse(x_text)
     y = Word.parse(y_text)
     if max_weight is None:
         max_weight = x.weight
-    click.echo(str(correlation_vector(x, y)))
-    click.echo(correlation_polynomial(x, y, max_weight).text_by_length())
+    print(correlation_vector(x, y))
+    print(correlation_polynomial(x, y, max_weight).text_by_length())
 
 
-@cli.command("longest-run")
-@click.option("--n", "n", type=click.IntRange(min=1), required=True)
-@click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
 def longest_run(n: int, fmt: str) -> None:
     """Distribution of the longest run length over compositions of n."""
     dist = longest_run_distribution(n)
@@ -116,6 +79,8 @@ def longest_run(n: int, fmt: str) -> None:
     mean_text = _rational(dist.mean)
     log2_text = f"{math.log2(n):.4f}"
     if fmt == "json":
+        import json
+
         obj = {
             "n": n,
             "total": str(dist.total),
@@ -124,44 +89,131 @@ def longest_run(n: int, fmt: str) -> None:
             "mean": mean_text,
             "log2_n": log2_text,
         }
-        click.echo(json.dumps(obj, indent=2))
+        print(json.dumps(obj, indent=2))
         return
     header = ("L", "count", "probability", "cumulative")
     if fmt == "csv":
-        click.echo(",".join(header))
+        print(",".join(header))
         for row in rows:
-            click.echo(",".join(str(v) for v in row))
-        click.echo(f"total {dist.total} mean {mean_text} log2(n) {log2_text}", err=True)
+            print(",".join(str(v) for v in row))
+        print(f"total {dist.total} mean {mean_text} log2(n) {log2_text}", file=sys.stderr)
         return
-    click.echo(" ".join(header))
+    print(" ".join(header))
     for row in rows:
-        click.echo(" ".join(str(v) for v in row))
-    click.echo(f"total {dist.total}")
-    click.echo(f"mean {mean_text}")
-    click.echo(f"log2(n) {log2_text}")
+        print(" ".join(str(v) for v in row))
+    print(f"total {dist.total}")
+    print(f"mean {mean_text}")
+    print(f"log2(n) {log2_text}")
 
 
-@cli.command("oracle")
-@click.option("--n", "n", type=click.IntRange(min=1), required=True)
-@click.option("--k", "k", type=click.IntRange(min=0), default=None,
-              help="Restrict to compositions with exactly k parts.")
-@click.option("--max-run-below", type=click.IntRange(min=1), default=None,
-              help="Keep compositions whose runs are all shorter than this.")
-@click.option("--avoid", "avoid_text", default=None,
-              help='Keep compositions avoiding these factors ("1 1;2 2").')
-@click.option("--force", is_flag=True, help="Count past the safety cap.")
 def oracle_cmd(n: int, k: int | None, max_run_below: int | None,
                avoid_text: str | None, force: bool) -> None:
     """Count through an automaton of the forbidden blocks (independent of all series)."""
     if max_run_below is not None and avoid_text is not None:
-        raise click.UsageError("use either --max-run-below or --avoid, not both")
+        raise RuncompError("use either --max-run-below or --avoid, not both")
     if max_run_below is not None:
         filt = CompositionFilter.max_run_below(max_run_below)
     elif avoid_text is not None:
         filt = CompositionFilter.avoid_factors(make_forbidden_list(parse_word_list(avoid_text)))
     else:
         filt = CompositionFilter.all()
-    click.echo(str(oracle_count(n, k, filt, force=force)))
+    print(oracle_count(n, k, filt, force=force))
+
+
+class _Formatter(argparse.HelpFormatter):
+    """Help and usage errors that start "Usage: ", the line scripts look for."""
+
+    def add_usage(self, usage, actions, groups, prefix=None):
+        super().add_usage(usage, actions, groups, "Usage: " if prefix is None else prefix)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes no abbreviated options and spells its help option only ``--help``."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, add_help=False, formatter_class=_Formatter, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+
+def _at_least(minimum: int):
+    """Argument type: an int no smaller than ``minimum``."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={minimum}")
+        return value
+
+    return convert
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="runcomp", description="Exact counting of integer compositions with "
+                     "forbidden factors and bounded runs.")
+    parser.add_argument("--version", action="version", version=f"runcomp, version {__version__}",
+                        help="Show the version and exit.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(name, handler):
+        summary = handler.__doc__
+        sub = commands.add_parser(name, help=summary, description=summary)
+        sub.set_defaults(handler=handler)
+        return sub
+
+    def format_option(sub):
+        sub.add_argument("--format", dest="fmt", choices=FORMATS, default="text",
+                         help="Output format (default: %(default)s).")
+
+    sub = command("carlitz", carlitz)
+    sub.add_argument("--max-weight", type=_at_least(0), required=True,
+                     help="Truncation bound on the composed integer.")
+    format_option(sub)
+
+    sub = command("runs", runs)
+    sub.add_argument("--r", type=_at_least(1), required=True,
+                     help="Run bound: count compositions with every run shorter than r.")
+    sub.add_argument("--max-weight", type=_at_least(0), required=True)
+    format_option(sub)
+
+    sub = command("count", count)
+    sub.add_argument("--n", type=_at_least(0), required=True)
+    sub.add_argument("--k", type=_at_least(0), required=True)
+    sub.add_argument("--r", type=_at_least(1), required=True)
+
+    sub = command("avoid", avoid)
+    sub.add_argument("--words", dest="words_text", metavar="WORDS", required=True,
+                     help='Forbidden factors, ";"-separated: "1 1;2 2".')
+    sub.add_argument("--max-weight", type=_at_least(0), required=True)
+    format_option(sub)
+    sub.add_argument("--method", choices=("auto", "system", "easy"), default="auto",
+                     help="One solver serves all three; easy also requires zero "
+                          "cross-correlations (default: %(default)s).")
+
+    sub = command("correlate", correlate)
+    sub.add_argument("--x", dest="x_text", metavar="WORD", required=True,
+                     help='First word, e.g. "1 1 0".')
+    sub.add_argument("--y", dest="y_text", metavar="WORD", required=True, help="Second word.")
+    sub.add_argument("--max-weight", type=_at_least(0),
+                     help="Truncation bound for the polynomial; defaults to the weight of the "
+                          "first word.")
+
+    sub = command("longest-run", longest_run)
+    sub.add_argument("--n", type=_at_least(1), required=True)
+    format_option(sub)
+
+    sub = command("oracle", oracle_cmd)
+    sub.add_argument("--n", type=_at_least(1), required=True)
+    sub.add_argument("--k", type=_at_least(0),
+                     help="Restrict to compositions with exactly k parts.")
+    sub.add_argument("--max-run-below", type=_at_least(1),
+                     help="Keep compositions whose runs are all shorter than this.")
+    sub.add_argument("--avoid", dest="avoid_text", metavar="WORDS",
+                     help='Keep compositions avoiding these factors ("1 1;2 2").')
+    sub.add_argument("--force", action="store_true", help="Count past the safety cap.")
+    return parser
 
 
 def _decimal(value: Fraction) -> str:
@@ -194,23 +246,23 @@ def _rational(value: Fraction) -> str:
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point with the documented exit codes (0 ok, 1 usage/validation, 2 internal)."""
     try:
-        cli.main(args=argv, prog_name="runcomp", standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.ClickException as exc:
-        exc.show()
-        return 1
-    except click.Abort:
-        click.echo("aborted", err=True)
+        options = vars(_build_parser().parse_args(argv))
+    except SystemExit as exc:  # argparse exits 0 after --help or --version, 2 on a usage error
+        return 0 if exc.code == 0 else 1
+    handler = options.pop("handler")
+    try:
+        handler(**options)
+    except KeyboardInterrupt:
+        print("aborted", file=sys.stderr)
         return 1
     except PivotError as exc:
-        click.echo(f"internal error: {exc}", err=True)
+        print(f"internal error: {exc}", file=sys.stderr)
         return 2
     except RuncompError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # anything else is an invariant violation
-        click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0
 

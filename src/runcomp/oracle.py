@@ -18,8 +18,7 @@ The safety cap is kept for now: weights above ``ENUMERATION_CAP`` are
 refused unless forced.
 """
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .errors import EnumerationCapError
 from .words import ForbiddenList
 
@@ -37,18 +36,21 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class CompositionFilter:
+class CompositionFilter(Value):
     """Which compositions count: everything, factor avoidance, or a run cap."""
 
-    forbidden: ForbiddenList | None = None
-    run_bound: int | None = None
+    __slots__ = ("forbidden", "run_bound")
+    forbidden: ForbiddenList | None
+    run_bound: int | None
 
-    def __post_init__(self) -> None:
-        if self.forbidden is not None and self.run_bound is not None:
+    def __init__(self, forbidden: ForbiddenList | None = None,
+                 run_bound: int | None = None) -> None:
+        if forbidden is not None and run_bound is not None:
             raise ValueError("choose either factor avoidance or a run bound, not both")
-        if self.run_bound is not None and (not _is_int(self.run_bound) or self.run_bound < 1):
-            raise ValueError(f"run bound must be an int >= 1, got {self.run_bound!r}")
+        if run_bound is not None and (not _is_int(run_bound) or run_bound < 1):
+            raise ValueError(f"run bound must be an int >= 1, got {run_bound!r}")
+        object.__setattr__(self, "forbidden", forbidden)
+        object.__setattr__(self, "run_bound", run_bound)
 
     @classmethod
     def all(cls) -> "CompositionFilter":

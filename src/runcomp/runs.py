@@ -8,10 +8,10 @@ Carlitz compositions (no two equal adjacent parts) are r = 2, and the
 longest-run distribution reads the q = 1 specialization.  Caches are bounded.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._value import Value
 from .series import Series
 
 __all__ = [
@@ -67,8 +67,7 @@ def bounded_run_count(n: int, k: int, r: int) -> int:
     return bounded_run_series(r, n).coefficient(n, k)
 
 
-@dataclass(frozen=True)
-class RunDistribution:
+class RunDistribution(Value):
     """Exact distribution of the longest run length over compositions of n.
 
     ``counts[L]`` is the number of compositions whose longest run has
@@ -76,10 +75,17 @@ class RunDistribution:
     is 2^(n-1) and ``mean`` the exact rational average of L.
     """
 
+    __slots__ = ("n", "counts", "total", "mean")
     n: int
     counts: dict[int, int]
     total: int
     mean: Fraction
+
+    def __init__(self, n: int, counts: dict[int, int], total: int, mean: Fraction) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "mean", mean)
 
 
 def longest_run_distribution(n: int) -> RunDistribution:

@@ -22,16 +22,13 @@ cell once.  When every cell sits at k = 0 (the q = 1 specialization) the
 rows are the coefficients themselves.
 """
 
-import csv
-import io
-import json
 import re
-from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
+from ._value import Value
 from .errors import BoundMismatchError, CoefficientRangeError, NotInvertibleError
 
 __all__ = ["Series"]
@@ -39,46 +36,44 @@ __all__ = ["Series"]
 Cell = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(Value):
     """A polynomial in x and q with integer coefficients, truncated at ``max_weight``.
 
     Instances are immutable value objects: operations return new series and
     equality is structural.  Zero coefficients are never stored, so two
     series are equal iff they have the same bound and the same terms.
     ``coeffs`` is a read-only view; the operations read the dict behind it.
+    A series is unhashable, since its terms are a dict.
     """
 
+    __slots__ = ("max_weight", "_cells")
     max_weight: int
-    coeffs: Mapping[Cell, int] = field(default_factory=dict, repr=False)
+    _cells: dict[Cell, int]
 
-    def __post_init__(self) -> None:
-        if not _is_int(self.max_weight) or self.max_weight < 0:
-            raise ValueError(f"max_weight must be a nonnegative integer, got {self.max_weight!r}")
+    def __init__(self, max_weight: int, coeffs: Mapping[Cell, int] = MappingProxyType({})) -> None:
+        if not _is_int(max_weight) or max_weight < 0:
+            raise ValueError(f"max_weight must be a nonnegative integer, got {max_weight!r}")
         clean: dict[Cell, int] = {}
-        for (n, k), c in self.coeffs.items():
+        for (n, k), c in coeffs.items():
             if n < 0 or k < 0:
                 raise ValueError(f"negative exponent in term x^{n} q^{k}")
             if not _is_int(c):
                 raise TypeError(f"coefficient of x^{n} q^{k} must be an int, got {c!r}")
-            if c and n <= self.max_weight and k <= self.max_weight:
+            if c and n <= max_weight and k <= max_weight:
                 clean[n, k] = c
-        self._freeze(clean)
+        object.__setattr__(self, "max_weight", max_weight)
+        object.__setattr__(self, "_cells", clean)
 
-    def _freeze(self, cells: dict[Cell, int]) -> None:
-        object.__setattr__(self, "_cells", cells)
-        object.__setattr__(self, "coeffs", MappingProxyType(cells))
-
-    def __reduce__(self):
-        # The read-only view cannot be pickled; rebuild from a plain dict.
-        return (Series, (self.max_weight, dict(self._cells)))
+    @property
+    def coeffs(self) -> Mapping[Cell, int]:
+        return MappingProxyType(self._cells)
 
     @classmethod
     def _of(cls, max_weight: int, cells: dict[Cell, int]) -> "Series":
         """Wrap cells an operation produced: int coefficients inside the bound, zeros allowed."""
         series = object.__new__(cls)
         object.__setattr__(series, "max_weight", max_weight)
-        series._freeze({cell: c for cell, c in cells.items() if c})
+        object.__setattr__(series, "_cells", {cell: c for cell, c in cells.items() if c})
         return series
 
     # -- constructors ------------------------------------------------
@@ -274,6 +269,9 @@ class Series:
 
     def to_csv(self) -> str:
         """Rows (n, k, coefficient) with coefficients as decimal strings."""
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["n", "k", "coefficient"])
@@ -288,6 +286,8 @@ class Series:
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_obj(), indent=2)
 
     @classmethod
@@ -307,6 +307,8 @@ class Series:
 
     @classmethod
     def from_json(cls, text: str) -> "Series":
+        import json
+
         return cls.from_json_obj(json.loads(text))
 
 

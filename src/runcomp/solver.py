@@ -17,8 +17,7 @@ at bound B plus O(N^2 * |Q|), where |Q| is the number of terms of Q.
 Lists whose cross-correlations all vanish ("easy case") take the same path.
 """
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .errors import NotEasyCaseError, PivotError
 from .series import Series
 from .words import ForbiddenList, correlation_polynomial
@@ -31,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AvoidanceSystem:
+class AvoidanceSystem(Value):
     """Matrix and right-hand side whose first solution component counts avoiders.
 
     Row 0 couples the unknowns through the alphabet of all positive
@@ -42,10 +40,18 @@ class AvoidanceSystem:
     (a word fully overlaps itself), so they are always invertible.
     """
 
+    __slots__ = ("forbidden", "matrix", "rhs", "max_weight")
     forbidden: ForbiddenList
     matrix: tuple[tuple[Series, ...], ...]
     rhs: tuple[Series, ...]
     max_weight: int
+
+    def __init__(self, forbidden: ForbiddenList, matrix: tuple[tuple[Series, ...], ...],
+                 rhs: tuple[Series, ...], max_weight: int) -> None:
+        object.__setattr__(self, "forbidden", forbidden)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "max_weight", max_weight)
 
 
 def build_system(forbidden: ForbiddenList, max_weight: int) -> AvoidanceSystem:

@@ -12,9 +12,10 @@ require strictly positive letters, since composition parts are >= 1.
 """
 
 import re
-from dataclasses import dataclass
+from functools import total_ordering
 from typing import Iterable, Iterator, Sequence
 
+from ._value import Value
 from .errors import InvalidWordError, ReducednessError
 from .series import Series
 
@@ -31,19 +32,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Word:
-    """A nonempty sequence of integer letters.
+@total_ordering
+class Word(Value):
+    """A nonempty sequence of integer letters, ordered by its letters.
 
     ``weight`` is the sum of the letters and ``length`` their number; for a
     composition these are the integer being composed and its number of
     parts.
     """
 
+    __slots__ = ("letters",)
     letters: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        letters = tuple(self.letters)
+    def __init__(self, letters: Iterable[int]) -> None:
+        letters = tuple(letters)
         if not letters:
             raise InvalidWordError("a word must have at least one letter")
         for a in letters:
@@ -81,18 +83,21 @@ class Word:
             return NotImplemented
         return Word(self.letters + other.letters)
 
+    def __lt__(self, other: "Word") -> bool:
+        return self.letters < other.letters if type(other) is Word else NotImplemented
+
     def __str__(self) -> str:
         return " ".join(str(a) for a in self.letters)
 
 
-@dataclass(frozen=True)
-class CorrelationVector:
+class CorrelationVector(Value):
     """Bit j says whether the words agree when the second is shifted j places left."""
 
+    __slots__ = ("bits",)
     bits: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        bits = tuple(self.bits)
+    def __init__(self, bits: Iterable[int]) -> None:
+        bits = tuple(bits)
         if not bits or any(b not in (0, 1) for b in bits):
             raise ValueError(f"correlation bits must be a nonempty 0/1 sequence, got {bits!r}")
         object.__setattr__(self, "bits", bits)
@@ -165,8 +170,7 @@ def _factor_pair(words: Sequence[Word]) -> tuple[Word, Word] | None:
     return None
 
 
-@dataclass(frozen=True)
-class ForbiddenList:
+class ForbiddenList(Value):
     """A validated reduced list of forbidden factors.
 
     ``easy_case`` is true when every pair of distinct entries has an
@@ -175,8 +179,13 @@ class ForbiddenList:
     :func:`make_forbidden_list`, which establishes both invariants.
     """
 
+    __slots__ = ("words", "easy_case")
     words: tuple[Word, ...]
     easy_case: bool
+
+    def __init__(self, words: tuple[Word, ...], easy_case: bool) -> None:
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "easy_case", easy_case)
 
     def __iter__(self) -> Iterator[Word]:
         return iter(self.words)

@@ -1,12 +1,22 @@
 """Shared fixtures: the fixed pool of reduced forbidden lists, the
-easy-case closed form the solver is checked against, and the composition
-listings the oracle is checked against."""
+easy-case closed form the solver is checked against, the composition
+listings the oracle is checked against, and one instance of each value
+class."""
 
 from itertools import product
 
 import pytest
 
-from runcomp import Series, Word, correlation_polynomial, make_forbidden_list
+from runcomp import (
+    CompositionFilter,
+    Series,
+    Word,
+    build_system,
+    correlation_polynomial,
+    correlation_vector,
+    longest_run_distribution,
+    make_forbidden_list,
+)
 
 # Reduced lists over letters <= 3 with words of length <= 3.  The last four
 # have a nonzero cross-correlation (a suffix of one word is a prefix of
@@ -95,3 +105,17 @@ def max_run_length(parts):
         prev = a
         best = max(best, run)
     return best
+
+
+def value_examples():
+    """One instance of each immutable value class, built afresh on every call."""
+    forbidden = make_forbidden_list([Word((1, 1)), Word((1, 2))])
+    return [
+        Series(4, {(0, 0): 1, (1, 1): -2, (3, 2): 10 ** 30}),
+        Word((2, 1, 2)),
+        correlation_vector(Word((1, 2, 1)), Word((2, 1))),
+        forbidden,
+        build_system(forbidden, 4),
+        CompositionFilter.avoid_factors(forbidden),
+        longest_run_distribution(5),
+    ]

@@ -1,6 +1,16 @@
-"""Command-line interface: output goldens, formats, and exit codes."""
+"""Command-line interface: output goldens, formats, exit codes and start-up."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import runcomp.cli
 from runcomp import CompositionFilter, PivotError, Series, oracle_count
@@ -195,6 +205,21 @@ class TestExitCodes:
         assert code == 0
         assert "0.1.0" in out
 
+    def test_version_text(self, capsys):
+        assert invoke(capsys, "--version")[:2] == (0, "runcomp, version 0.1.0\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("carlitz", "--max", "5"),
+        ("runs", "--r", "3", "--max-w", "4"),
+        ("avoid", "--word", "1 1", "--max-weight", "4"),
+        ("oracle", "--n", "5", "--max-run", "2"),
+        ("oracle", "--n", "30", "--for"),
+        ("longest-run", "--n", "3", "--form", "csv"),
+    ])
+    def test_abbreviated_options_are_usage_errors(self, capsys, argv):
+        code, out, _ = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+
     def test_unknown_option(self, capsys):
         assert invoke(capsys, "carlitz", "--bogus")[0] == 1
 
@@ -230,3 +255,87 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "carlitz", "--max-weight", "3")
         assert code == 2
         assert "internal error" in err
+
+
+# Every subcommand that takes a required int option, with the least value each option admits.
+INT_OPTIONS = {
+    "carlitz": {"--max-weight": 0},
+    "runs": {"--r": 1, "--max-weight": 0},
+    "count": {"--n": 0, "--k": 0, "--r": 1},
+    "longest-run": {"--n": 1},
+    "oracle": {"--n": 1},
+}
+KNOWN_OPTIONS = {"--help", "--version", "--format", "--method", "--words", "--x", "--y",
+                 "--k", "--max-run-below", "--avoid", "--force"}.union(*INT_OPTIONS.values())
+
+
+def _is_int_text(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def bad_argvs(draw):
+    """A usage error: a non-int or too small value, an unknown option, a missing
+    value, or no subcommand at all."""
+    command = draw(st.sampled_from(sorted(INT_OPTIONS)))
+    options = INT_OPTIONS[command]
+    values = {name: str(draw(st.integers(least, least + 3))) for name, least in options.items()}
+    target = draw(st.sampled_from(sorted(options)))
+    fault = draw(st.sampled_from(["not an int", "below minimum", "unknown option",
+                                  "missing value", "no subcommand"]))
+    tail = []
+    if fault == "not an int":
+        values[target] = draw(st.text(max_size=6).filter(lambda t: not _is_int_text(t)))
+    elif fault == "below minimum":
+        values[target] = str(options[target] - draw(st.integers(1, 10 ** 20)))
+    elif fault == "unknown option":
+        name = draw(st.from_regex(r"--[a-z][a-z-]{0,12}", fullmatch=True).filter(
+            lambda n: n not in KNOWN_OPTIONS))
+        tail = draw(st.sampled_from([[name], [name, "1"]]))
+    elif fault == "missing value":
+        tail = [target]
+        del values[target]
+    argv = [command] + [piece for name, value in values.items() for piece in (name, value)] + tail
+    if fault == "no subcommand":
+        argv = argv[1:]
+    return argv
+
+
+class TestUsageErrors:
+    @settings(max_examples=150, deadline=None)
+    @given(bad_argvs())
+    def test_bad_argv_exits_one_with_empty_stdout(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert (code, out.getvalue()) == (1, ""), argv
+        assert err.getvalue()
+
+
+SRC = Path(runcomp.__file__).resolve().parent.parent
+
+
+class TestStartup:
+    """Fresh interpreters: what ``import runcomp.cli`` loads, and ``--help`` as a script sees it."""
+
+    ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+    def test_import_loads_every_module_and_no_heavy_dependency(self):
+        code = ("import sys; before = set(sys.modules); import runcomp.cli; "
+                "print(' '.join(sorted(set(sys.modules) - before)))")
+        loaded = set(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                    env=self.ENV, check=True).stdout.split())
+        assert not {"click", "dataclasses", "inspect"} & loaded
+        modules = ("series", "words", "solver", "runs", "oracle")
+        assert {f"runcomp.{name}" for name in modules} <= loaded
+
+    def test_help_starts_with_usage(self):
+        done = subprocess.run([sys.executable, "-m", "runcomp", "--help"],
+                              capture_output=True, text=True, env=self.ENV)
+        assert done.returncode == 0
+        assert done.stdout.startswith("Usage: ")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import value_examples
 from runcomp import (
     BoundMismatchError,
     CoefficientRangeError,
@@ -485,3 +486,8 @@ class TestImmutability:
             assert copied == s
             with pytest.raises(TypeError):
                 copied.coeffs[6, 1] = 999
+        for value in value_examples():  # one instance of each value class
+            for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value),
+                           copy.copy(value)):
+                assert type(copied) is type(value)
+                assert copied == value
